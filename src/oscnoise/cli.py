@@ -259,6 +259,14 @@ def _cmd_covariance(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if not (args.omega_min > 0.0 and math.isfinite(args.omega_min)):
+        raise DomainError(f"--omega-min must be positive and finite, got {args.omega_min}")
+    if not (args.omega_max >= args.omega_min and math.isfinite(args.omega_max)):
+        raise DomainError(
+            f"--omega-max must be finite and >= --omega-min, got {args.omega_max}"
+        )
+    if args.n_omega < 1:
+        raise DomainError(f"--n-omega must be >= 1, got {args.n_omega}")
     omegas = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega)
     lines = ["omega,value,branch"]
     for om in omegas:

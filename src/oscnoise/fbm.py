@@ -34,6 +34,8 @@ __all__ = [
     "RNG_ALGORITHM",
     "covariance",
     "covariance_matrix",
+    "cholesky_with_jitter",
+    "cross_covariance",
     "correlation",
     "mixture_variance",
     "simulate",
@@ -156,36 +158,58 @@ def variance(h, t: float) -> float:
     return t ** (2.0 * h) / (2.0 * h * math.gamma(h + 0.5) ** 2)
 
 
+def cross_covariance(model, s, t, tol: specfun.Tolerance | None = None) -> np.ndarray:
+    """Elementwise Cov(phi_s, phi_t) of a HurstExponent (or float) or a
+    NoiseMixture, in rad^2.
+
+    ``s`` and ``t`` broadcast against each other and the result has their
+    broadcast shape.  A mixture sums c_H^2 times each component.  The value
+    is symmetric in (s, t) bit for bit and zero where either time is zero.
+    """
+    lo = np.minimum(s, t, dtype=float)
+    hi = np.maximum(s, t, dtype=float)
+    lo_min = lo.min() if lo.size else 1.0
+    if not (lo_min >= 0.0 and np.isfinite(hi).all()):
+        raise DomainError(f"times must be finite and >= 0, got min {lo_min}, max {hi.max()}")
+    if lo_min == 0.0:
+        positive = lo > 0.0
+        out = np.zeros(lo.shape)
+        out[positive] = cross_covariance(model, lo[positive], hi[positive], tol)
+        return out
+    if isinstance(model, NoiseMixture):
+        parts = model.components
+    else:
+        parts = ((_as_hurst(model), 1.0),)
+    z = lo / hi
+    out = np.zeros(lo.shape)
+    for hurst, coeff in parts:
+        if coeff > 0.0:
+            h = hurst.h
+            cov = lo ** (h + 0.5)
+            cov *= hi ** (h - 0.5)
+            cov *= specfun.hyp2f1_curve(h, z, tol)
+            cov *= coeff * coeff * 2.0 / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
+            out += cov
+    return out
+
+
 def covariance(h, s: float, t: float, tol: specfun.Tolerance | None = None) -> float:
     """Cov(phi^H_s, phi^H_t) in rad^2; symmetric in (s, t), zero when either
     time is zero."""
-    h = _as_hurst(h).h
-    if s < 0 or t < 0 or not (math.isfinite(s) and math.isfinite(t)):
-        raise DomainError(f"times must be >= 0, got ({s}, {t})")
-    lo, hi = (s, t) if s <= t else (t, s)
-    if lo == 0.0:
-        return 0.0
-    f = specfun.hyp2f1_curve(h, np.array([lo / hi]), tol)[0]
-    return (
-        2.0
-        * lo ** (h + 0.5)
-        * hi ** (h - 0.5)
-        * float(f)
-        / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
-    )
+    return float(cross_covariance(_as_hurst(h), s, t, tol))
 
 
 def correlation(h, s: float, t: float, tol: specfun.Tolerance | None = None) -> float:
     """Cor(phi^H_s, phi^H_t); depends only on the ratio max/min and decays
     like (4H/(2H+1)) sqrt(s/t) as the ratio grows."""
-    h_ = _as_hurst(h).h
+    h = _as_hurst(h)
     if s <= 0 or t <= 0:
         raise DomainError(f"times must be positive, got ({s}, {t})")
     if s == t:
         return 1.0
-    r = max(s, t) / min(s, t)
-    f = specfun.hyp2f1_curve(h_, np.array([1.0 / r]), tol)[0]
-    return 4.0 * h_ * float(f) / ((2.0 * h_ + 1.0) * math.sqrt(r))
+    return float(cross_covariance(h, s, t, tol)) / math.sqrt(
+        variance(h, s) * variance(h, t)
+    )
 
 
 def mixture_variance(mix: NoiseMixture, t: float) -> float:
@@ -194,24 +218,24 @@ def mixture_variance(mix: NoiseMixture, t: float) -> float:
 
 
 def covariance_matrix(model, grid: TimeGrid, tol: specfun.Tolerance | None = None) -> np.ndarray:
-    """Covariance matrix of a HurstExponent or NoiseMixture on a grid."""
-    if isinstance(model, NoiseMixture):
-        parts = [
-            c * c * covariance_matrix(hurst, grid, tol)
-            for hurst, c in model.components
-            if c > 0.0
-        ]
-        if not parts:  # all-zero mixture still needs a well-formed matrix
-            return np.zeros((len(grid), len(grid)))
-        return sum(parts[1:], start=parts[0])
-    h = _as_hurst(model).h
+    """Covariance matrix of a HurstExponent or NoiseMixture on a grid.
+
+    Only the n(n+1)/2 pairs of the upper triangle are evaluated; the lower
+    triangle is their mirror image, so the matrix is exactly symmetric.
+    """
     ts = grid.points
-    S = np.minimum.outer(ts, ts)
-    T = np.maximum.outer(ts, ts)
-    F = specfun.hyp2f1_curve(h, S / T, tol)
-    return 2.0 * S ** (h + 0.5) * T ** (h - 0.5) * F / (
-        math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0)
-    )
+    n = ts.size
+    rows = np.repeat(ts, np.arange(n, 0, -1))
+    cols = np.concatenate([ts[r:] for r in range(n)])
+    upper = cross_covariance(model, rows, cols, tol)
+    K = np.empty((n, n))
+    start = 0
+    for r in range(n):
+        row = upper[start : start + n - r]
+        K[r, r:] = row
+        K[r:, r] = row
+        start += n - r
+    return K
 
 
 def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:

@@ -24,7 +24,7 @@ import numpy as np
 import scipy.linalg
 
 from . import fbm
-from .errors import DecompositionError, DomainError
+from .errors import DomainError
 from .fbm import HurstExponent, NoiseMixture, TimeGrid, _as_hurst
 
 __all__ = [
@@ -77,22 +77,8 @@ def _posterior_system(h, observed_times: TimeGrid, target_t: float):
             f"target {target_t} must lie after the last observation {ts[-1]}"
         )
     K = fbm.covariance_matrix(h, observed_times)
-    k = np.array([fbm.covariance(h, float(ti), target_t) for ti in ts])
-    scale = float(np.mean(np.diag(K)))
-    eps = 0.0
-    while True:
-        try:
-            cf = scipy.linalg.cho_factor(
-                K if eps == 0.0 else K + eps * scale * np.eye(len(K)), lower=True
-            )
-            break
-        except scipy.linalg.LinAlgError:
-            eps = 1e-12 if eps == 0.0 else eps * 10.0
-            if eps > 1e-6:
-                raise DecompositionError(
-                    "observation covariance not positive definite after jitter"
-                ) from None
-    return cf, k
+    k = fbm.cross_covariance(h, ts, target_t)
+    return (fbm.cholesky_with_jitter(K), True), k
 
 
 def discrete_posterior(
@@ -173,12 +159,7 @@ def renewal_sample(
             )
         cf, _ = _posterior_system(h, observed_times, float(future_grid.points[0]))
         weights = scipy.linalg.cho_solve(cf, y)
-        cross = np.array(
-            [
-                [fbm.covariance(h, float(ti), float(tf)) for ti in observed_times.points]
-                for tf in future_grid.points
-            ]
-        )
+        cross = fbm.cross_covariance(h, future_grid.points[:, None], observed_times.points)
         mean = cross @ weights
     shifted = TimeGrid(future_grid.points - s_last)
     fresh = fbm.simulate(h, shifted, n_paths, seed)

@@ -5,11 +5,15 @@ which allows much stronger evaluation strategies than a general-purpose
 hypergeometric routine could use:
 
 * ``hyp2f1_restricted`` evaluates 2F1(1, 1/2-H; H+3/2; z) on z in [0, 1]
-  for 0 < H < 3/2.  The forward power series is used up to z = 0.8; above
-  that the series stalls, so the standard z -> 1-z connection formula is
-  applied.  With the first upper parameter equal to 1 the second term of
-  the connection formula collapses to an elementary power, so the
-  transformed evaluation needs a single fast series.
+  for 0 < H < 3/2, and ``hyp2f1_curve`` does so over arrays, summing the
+  series in fixed-size blocks of sorted z.  The forward power series is
+  used up to z = 0.8; above that the series stalls, so the standard
+  z -> 1-z connection formula is applied.  With the first upper parameter
+  equal to 1 the second term of the connection formula collapses to an
+  elementary power, so the transformed evaluation needs a single fast
+  series.  Near integer 2H the two connection terms have cancelling
+  poles; the function itself is analytic in H, so it is interpolated there
+  from Chebyshev nodes in H that keep clear of the poles.
 * ``hyp1f2`` evaluates 1F2(H+1/2; H+1, H+3/2; -x) and the companion
   triple (H+1/2; H+3/2, H+2; -x) appearing in the oscillator spectra.
   The alternating series cancels catastrophically (peak terms grow like
@@ -46,8 +50,16 @@ __all__ = [
 ]
 
 # distance of 2H to an integer below which the z -> 1-z connection formula
-# cancels catastrophically and evaluation falls back to mpmath
-_DEGENERATE_MARGIN = 1e-4
+# loses digits to cancellation (1e-12 relative at 2H = 2e-4); there the
+# transformed branch is interpolated in H from _DEGENERATE_NODES Chebyshev
+# nodes over +-_DEGENERATE_HALF_WIDTH around the degenerate value.  The
+# node count is even, so no node sits on the pole; 8 nodes over +-3e-3 keep
+# the interpolant within 2e-13 of mpmath for z up to 1 - 1e-12
+_DEGENERATE_MARGIN = 1e-3
+_DEGENERATE_HALF_WIDTH = 3e-3
+_DEGENERATE_NODES = 8
+# z values per block of the 2F1 series sums; keeps the working arrays in cache
+_BLOCK = 8192
 # forward 2F1 series up to here, transformed series above
 _SERIES_SWITCH = 0.8
 # theta series below, wrapped Gaussian sum above
@@ -105,10 +117,20 @@ def default_tolerance() -> Tolerance:
     ``OSCNOISE_MAX_TERMS`` if set.
     """
     return Tolerance(
-        abs_tol=float(os.environ.get("OSCNOISE_ABS_TOL", 1e-14)),
-        rel_tol=float(os.environ.get("OSCNOISE_REL_TOL", 1e-12)),
-        max_terms=int(os.environ.get("OSCNOISE_MAX_TERMS", 1_000_000)),
+        abs_tol=_env_number("OSCNOISE_ABS_TOL", float, 1e-14),
+        rel_tol=_env_number("OSCNOISE_REL_TOL", float, 1e-12),
+        max_terms=_env_number("OSCNOISE_MAX_TERMS", int, 1_000_000),
     )
+
+
+def _env_number(name: str, kind, default):
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"{name}={text!r} is not a valid {kind.__name__}") from None
 
 
 def gamma(x: float) -> float:
@@ -172,39 +194,35 @@ def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.nd
     """Vectorised 2F1(1, 1/2-H; H+3/2; z) over an array of z in [0, 1].
 
     This is the workhorse behind covariance matrices; the scalar
-    ``hyp2f1_restricted`` wraps it.
+    ``hyp2f1_restricted`` wraps it.  The z values are sorted once so that
+    each fixed-size block of the series sums holds neighbouring z, which
+    need nearly the same number of terms.
     """
     tol = tol or default_tolerance()
     z = np.asarray(z, dtype=float)
-    if z.size and (z.min() < 0.0 or z.max() > 1.0):
+    if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
         raise DomainError("z values must lie in [0, 1]")
-    flat = z.ravel()
-    out = np.empty_like(flat)
 
     if h == 0.5:
         # second parameter is 0: every term beyond n = 0 vanishes
-        out.fill(1.0)
-        return out.reshape(z.shape)
+        return np.ones(z.shape)
 
+    flat = z.ravel()
     if h == 1.0:
+        out = _h1_elementary(flat)
         small = flat < 0.1
         if small.any():
             out[small] = _series_2f1(-0.5, 2.5, flat[small], tol)
-        zz = flat[~small]
-        if zz.size:
-            out[~small] = _h1_elementary(zz)
         return out.reshape(z.shape)
 
-    lo = flat <= _SERIES_SWITCH
-    if lo.any():
-        out[lo] = _series_2f1(0.5 - h, h + 1.5, flat[lo], tol)
-    hi = ~lo
-    if hi.any():
-        d2h = min(abs(2.0 * h - k) for k in (0, 1, 2, 3))
-        if d2h < _DEGENERATE_MARGIN:
-            out[hi] = _mpmath_2f1(h, flat[hi])
-        else:
-            out[hi] = _transformed_2f1(h, flat[hi], tol)
+    order = np.argsort(flat)
+    zs = flat[order]
+    k = int(np.searchsorted(zs, _SERIES_SWITCH, side="right"))
+    sorted_out = np.empty_like(zs)
+    sorted_out[:k] = _series_2f1(0.5 - h, h + 1.5, zs[:k], tol)
+    sorted_out[k:] = _transformed_2f1(h, zs[k:], tol)
+    out = np.empty_like(zs)
+    out[order] = sorted_out
     return out.reshape(z.shape)
 
 
@@ -218,53 +236,125 @@ def _h1_elementary(z: np.ndarray) -> np.ndarray:
     return np.where(z == 1.0, 0.75, val)
 
 
-def _series_2f1(b: float, c: float, z: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Forward series sum_n (b)_n/(c)_n z^n with a shrinking active set."""
-    total = np.ones_like(z)
-    term = np.ones_like(z)
-    idx = np.arange(z.size)
-    zz, tt = z.copy(), term
+def _series_2f1(b, c, z: np.ndarray, tol: Tolerance, weights=1.0) -> np.ndarray:
+    """Forward series sum_j weights_j sum_n (b_j)_n/(c_j)_n z^n.
+
+    ``b``, ``c`` and ``weights`` are scalars or equal-length sequences, one
+    entry per series; a weighted sum of series is summed as the single
+    series of its combined coefficients.  The z values are summed in
+    blocks of _BLOCK, each running one term count for all its elements.
+    """
+    coefs = _SeriesCoefficients(b, c, weights)
+    out = np.empty_like(z)
+    for lo in range(0, z.size, _BLOCK):
+        out[lo : lo + _BLOCK] = _series_block(coefs, z[lo : lo + _BLOCK], tol)
+    return out
+
+
+class _SeriesCoefficients:
+    """Coefficients of a weighted sum of 2F1 series, extended on demand.
+
+    For term n >= 1: ``d[n-1]`` is the combined coefficient
+    sum_j w_j (b_j)_n/(c_j)_n, ``e[n-1]`` the majorant sum_j |w_j (b_j)_n/(c_j)_n|
+    and ``rho[n-1]`` the largest |(b_j+n-1)/(c_j+n-1)|, the term ratio
+    over z that the geometric tail bound uses.
+    """
+
+    _CHUNK = 64
+
+    def __init__(self, b, c, weights):
+        self.b, self.c, w = np.broadcast_arrays(
+            np.atleast_1d(np.asarray(b, dtype=float)),
+            np.atleast_1d(np.asarray(c, dtype=float)),
+            np.atleast_1d(np.asarray(weights, dtype=float)),
+        )
+        self.head = float(w.sum())
+        self.last = w.copy()
+        self.d: list[float] = []
+        self.e: list[float] = []
+        self.rho: list[float] = []
+
+    def extend(self) -> None:
+        n = np.arange(len(self.d), len(self.d) + self._CHUNK, dtype=float)
+        ratio = (self.b[:, None] + n) / (self.c[:, None] + n)
+        table = self.last[:, None] * np.cumprod(ratio, axis=1)
+        self.last = table[:, -1]
+        self.d += table.sum(axis=0).tolist()
+        self.e += np.abs(table).sum(axis=0).tolist()
+        self.rho += np.abs(ratio).max(axis=0).tolist()
+
+
+def _series_block(coefs: _SeriesCoefficients, z: np.ndarray, tol: Tolerance) -> np.ndarray:
+    # every element runs the same number of terms; the block stops once all of
+    # them meet the Tolerance rule, applied to the majorant e_n z^n of the
+    # term (for a single series, exactly the term).  Term and tail bound grow
+    # with z, so the largest z is tested first and the whole block only once
+    # that passes.
+    total = np.full_like(z, coefs.head)
+    power = np.ones_like(z)
+    scratch = np.empty_like(z)
+    top = int(np.argmax(z))
+    z_top = float(z[top])
     n = 0
-    while idx.size:
-        ratio = (b + n) / (c + n) * zz
-        tt = tt * ratio
-        total[idx] += tt
+    while True:
+        if n == len(coefs.d):
+            coefs.extend()
+        power *= z
+        np.multiply(power, coefs.d[n], out=scratch)
+        total += scratch
+        e, r = coefs.e[n], coefs.rho[n]
         n += 1
         if n >= tol.max_terms:
-            raise ConvergenceError(
-                f"2F1 series exceeded {tol.max_terms} terms at z={zz.max()}"
-            )
-        r = np.abs(ratio)
-        tail = np.abs(tt) * np.where(r < 1.0, r / (1.0 - r), np.inf)
-        live = ~(
-            (np.abs(tt) < tol.abs_tol) & (tail < tol.rel_tol * np.abs(total[idx]))
-        )
-        if not live.all():
-            idx = idx[live]
-            zz = zz[live]
-            tt = tt[live]
-    return total
+            raise ConvergenceError(f"2F1 series exceeded {tol.max_terms} terms at z={z_top}")
+        a = e * float(power[top])
+        if (
+            a < tol.abs_tol
+            and r * z_top < 1.0
+            and a * r * z_top / (1.0 - r * z_top) < tol.rel_tol * abs(float(total[top]))
+            and _converged(e * power, r * z, total, tol)
+        ):
+            return total
+
+
+def _converged(term: np.ndarray, ratio: np.ndarray, total: np.ndarray, tol: Tolerance) -> bool:
+    # the Tolerance rule for every element: last term below abs_tol and
+    # geometric tail bound below rel_tol times the partial sum
+    with np.errstate(divide="ignore"):
+        tail = term * np.where(ratio < 1.0, ratio / (1.0 - ratio), np.inf)
+    return bool(np.all((term < tol.abs_tol) & (tail < tol.rel_tol * np.abs(total))))
 
 
 def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> np.ndarray:
     # z -> 1-z connection formula; with a = 1 the second 2F1 degenerates to
-    # z^-(H+1/2), leaving one fast series in w = 1-z <= 0.2
-    w = 1.0 - z
-    t1 = (h + 0.5) / (2.0 * h) * _series_2f1(0.5 - h, 1.0 - 2.0 * h, w, tol)
-    pref = math.gamma(h + 1.5) * math.gamma(-2.0 * h) / math.gamma(0.5 - h)
-    t2 = np.where(w == 0.0, 0.0, pref * w ** (2.0 * h) * z ** (-(h + 0.5)))
-    return t1 + t2
-
-
-def _mpmath_2f1(h: float, z: np.ndarray) -> np.ndarray:
-    # near-degenerate 2H (within _DEGENERATE_MARGIN of an integer) the two
-    # connection terms cancel to all digits; mpmath handles the limit
-    import mpmath as mp
-
-    with mp.workdps(40):
-        return np.array(
-            [float(mp.hyp2f1(1.0, 0.5 - h, h + 1.5, zi)) for zi in z], dtype=float
-        )
+    # z^-(H+1/2), leaving one fast series in w = 1-z <= 0.2:
+    #   F = (H+1/2)/(2H) 2F1(1/2-H, 1; 1-2H; w) + P(H) w^(2H) z^-(H+1/2).
+    # Near integer 2H the two terms have poles that cancel, while F is
+    # analytic in H; there F is interpolated to h from Chebyshev nodes in H
+    # that keep clear of the poles.  The interpolant is linear in the node
+    # values, so the node series sum as one series of combined coefficients.
+    # At z = 1 the Gauss value (H+1/2)/(2H) is exact.
+    if abs(2.0 * h - round(2.0 * h)) < _DEGENERATE_MARGIN:
+        m = _DEGENERATE_NODES
+        x = np.cos((2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m))
+        u = (h - 0.5 * round(2.0 * h)) / _DEGENERATE_HALF_WIDTH
+        weights = np.array([np.prod((u - np.delete(x, j)) / (x[j] - np.delete(x, j)))
+                            for j in range(m)])
+        hs = h + _DEGENERATE_HALF_WIDTH * (x - u)
+    else:
+        weights, hs = np.ones(1), np.array([h])
+    out = np.full_like(z, (h + 0.5) / (2.0 * h))
+    inner = z < 1.0
+    zi = z[inner]
+    w = 1.0 - zi
+    t1 = _series_2f1(0.5 - hs, 1.0 - 2.0 * hs, w, tol, weights * (hs + 0.5) / (2.0 * hs))
+    log_w, log_z = np.log(w), np.log(zi)
+    t2 = sum(
+        wj * math.gamma(hj + 1.5) * math.gamma(-2.0 * hj) / math.gamma(0.5 - hj)
+        * np.exp(2.0 * hj * log_w - (hj + 0.5) * log_z)
+        for wj, hj in zip(weights.tolist(), hs.tolist())
+    )
+    out[inner] = t1 + t2
+    return out
 
 
 # ---------------------------------------------------------------------------

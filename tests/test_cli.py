@@ -87,6 +87,20 @@ class TestDispatch:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "omega_args",
+        [
+            ["--omega-min", "0", "--omega-max", "10"],
+            ["--omega-min", "10", "--omega-max", "1"],
+            ["--omega-min", "1", "--omega-max", "10", "--n-omega", "0"],
+        ],
+    )
+    def test_spectrum_bad_omega_range_exit_one(self, capsys, omega_args):
+        code = dispatch(["spectrum", "--hurst", "1", "--avg-time", "1", *omega_args])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "omega" in captured.err and captured.out == ""
+
     def test_every_subcommand_has_help(self, capsys):
         for name in [
             "simulate", "covariance", "spectrum", "leakage",

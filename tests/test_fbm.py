@@ -187,6 +187,80 @@ class TestCovarianceMatrix:
         np.testing.assert_allclose(K, expected, rtol=1e-12)
 
 
+def _mp_covariance(h, s, t):
+    # closed form with the mpmath 2F1 oracle
+    lo, hi = min(s, t), max(s, t)
+    return (
+        2.0 * lo ** (h + 0.5) * hi ** (h - 0.5) * _oracles.mp_hyp2f1(h, lo / hi)
+        / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
+    )
+
+
+class TestCrossCovariance:
+    @pytest.mark.parametrize("h", [0.2, 0.75, 0.99999, 1.0, 1.3])
+    def test_matrix_exactly_symmetric(self, h):
+        rng = np.random.default_rng(23)
+        ts = np.sort(rng.uniform(0.01, 100.0, 97))
+        K = fbm.covariance_matrix(h, TimeGrid(ts))
+        assert np.array_equal(K, K.T)
+
+    def test_matrix_against_oracle(self):
+        ts = np.array([0.3, 1.0, 1.01, 4.0, 50.0])
+        for h in [0.3, 1.2]:
+            K = fbm.covariance_matrix(h, TimeGrid(ts))
+            for i, a in enumerate(ts):
+                for j, b in enumerate(ts):
+                    assert K[i, j] == pytest.approx(_mp_covariance(h, a, b), rel=1e-12)
+
+    def test_near_degenerate_matrix_needs_no_mpmath(self, monkeypatch):
+        import mpmath
+
+        h = 0.99999
+        ts = np.linspace(1.0, 10.0, 150)
+        picks = [(0, 0), (0, 1), (3, 140), (75, 76), (149, 149), (20, 149), (100, 130)]
+        ref = {ij: _mp_covariance(h, ts[ij[0]], ts[ij[1]]) for ij in picks}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.hyp2f1 called on the covariance path")
+
+        monkeypatch.setattr(mpmath, "hyp2f1", refuse)
+        K = fbm.covariance_matrix(h, TimeGrid(ts))
+        for (i, j), r in ref.items():
+            assert K[i, j] == pytest.approx(r, rel=1e-12)
+            assert K[j, i] == K[i, j]
+
+    @pytest.mark.parametrize(
+        "model",
+        [0.3, 0.99999, HurstExponent(1.0), NoiseMixture.white_flicker(2.0, 0.3),
+         NoiseMixture.from_pairs([(0.25, 1.0), (0.5, 0.0), (1.4, 0.7)])],
+    )
+    def test_matches_scalar_covariance_broadcast(self, model):
+        s = np.array([[0.0], [0.5], [2.0], [7.5]])
+        t = np.array([0.0, 0.5, 1.0, 3.0, 7.5, 40.0])
+        got = fbm.cross_covariance(model, s, t)
+        assert got.shape == (4, 6)
+        parts = (
+            model.components if isinstance(model, NoiseMixture) else [(model, 1.0)]
+        )
+        for i in range(4):
+            for j in range(6):
+                ref = sum(
+                    c * c * fbm.covariance(hurst, s[i, 0], t[j]) for hurst, c in parts
+                )
+                assert got[i, j] == pytest.approx(ref, rel=1e-12, abs=0.0)
+        assert np.array_equal(fbm.cross_covariance(model, t[:, None], s.T), got.T)
+
+    def test_scalar_arguments(self):
+        got = fbm.cross_covariance(0.75, 2.0, 3.0)
+        assert got.shape == ()
+        assert float(got) == pytest.approx(_mp_covariance(0.75, 2.0, 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_domain(self, bad):
+        with pytest.raises(DomainError):
+            fbm.cross_covariance(0.5, np.array([1.0, bad]), 2.0)
+
+
 class TestSimulate:
     def test_deterministic_for_seed(self):
         grid = TimeGrid(np.linspace(1.0, 2.0, 16))

@@ -30,6 +30,19 @@ class TestTolerance:
         assert tol.abs_tol == 1e-10
         assert tol.max_terms == 500
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("OSCNOISE_ABS_TOL", "1e-"),
+            ("OSCNOISE_REL_TOL", "abc"),
+            ("OSCNOISE_MAX_TERMS", "1e6"),
+        ],
+    )
+    def test_malformed_env_names_variable(self, monkeypatch, name, value):
+        monkeypatch.setenv(name, value)
+        with pytest.raises(DomainError, match=name):
+            specfun.default_tolerance()
+
 
 class TestGamma:
     def test_known_values(self):
@@ -79,6 +92,38 @@ class TestHyp2F1:
             for z in [0.85, 0.99]:
                 got = specfun.hyp2f1_restricted(1.0, 0.5 - h, h + 1.5, z)
                 assert got == pytest.approx(_oracles.mp_hyp2f1(h, z), rel=1e-11)
+
+    @pytest.mark.parametrize("h", [3e-5, 0.49999, 0.50002, 0.99999, 1.00004, 1.49999])
+    def test_near_degenerate_sweep(self, h):
+        # 2H within 1e-4 of 0, 1, 2 and 3, up to and onto the z = 1 endpoint
+        zs = np.array([0.81, 0.9, 0.99, 1.0 - 1e-9, 1.0])
+        got = specfun.hyp2f1_curve(h, zs)
+        for g, z in zip(got, zs):
+            assert g == pytest.approx(_oracles.mp_hyp2f1(h, z), rel=1e-12), (h, z)
+
+    def test_near_degenerate_needs_no_mpmath(self, monkeypatch):
+        import mpmath
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("mpmath.hyp2f1 called on the 2F1 path")
+
+        zs = np.linspace(0.0, 1.0, 201)
+        ref = [_oracles.mp_hyp2f1(0.99999, z) for z in zs]
+        monkeypatch.setattr(mpmath, "hyp2f1", refuse)
+        np.testing.assert_allclose(specfun.hyp2f1_curve(0.99999, zs), ref, rtol=1e-12)
+
+    @pytest.mark.parametrize("h", [0.3, 0.75, 1.25])
+    def test_curve_unsorted_and_shaped(self, h):
+        # values come back in input order and shape, across block boundaries
+        rng = np.random.default_rng(5)
+        z = rng.uniform(0.0, 1.0, (3, 7000))
+        z[0, :3] = [1.0, 0.0, specfun._SERIES_SWITCH]
+        got = specfun.hyp2f1_curve(h, z)
+        assert got.shape == z.shape
+        for idx in [(0, 0), (0, 1), (0, 2), (1, 17), (2, 6999)] + [
+            tuple(i) for i in rng.integers(0, [3, 7000], (20, 2))
+        ]:
+            assert got[idx] == pytest.approx(_oracles.mp_hyp2f1(h, z[idx]), rel=5e-13)
 
     @pytest.mark.parametrize("h", [0.3, 0.5, 1.0, 1.4])
     @pytest.mark.parametrize("z", [0.0, 0.5, 0.99])
