@@ -177,27 +177,44 @@ def fit_mixture(curve: AllanCurve, log_space: bool = False) -> FitResult:
     """Recover (c_white, c_flicker) from a measured curve.
 
     Nonnegative least squares of the variances against the basis
-    {2 h, (4 ln2 / pi) h^2}, rows weighted by sqrt(counts); linear-space
-    fitting preserves the additivity of component variances exactly.
-    ``log_space=True`` refits the same model on log-variances (useful
-    when the curve spans many decades), seeded from the linear solution.
+    {2 h, (4 ln2 / pi) h^2}, each row weighted by the inverse of its
+    standard error; linear-space fitting preserves the additivity of
+    component variances exactly.  The overlapping estimator at lag m with
+    ``count`` differences has relative standard error about
+    sqrt(4m / (3 count)), so a first fit weighted by sqrt(count) gives
+    the model variance at each lag, and the fit is repeated with weights
+    1 / (model * sqrt(4m / (3 count))).  Weighted by sqrt(count) alone,
+    the largest lags dominate and c_white is poorly pinned.  m is the lag
+    in units of the smallest lag: exact for lags starting at one sample,
+    otherwise a common scale that changes only ``residual_norm``.
+    ``log_space=True`` refits on log-variances, seeded from the linear
+    solution, with weights 1 / sqrt(4m / (3 count)): the same standard
+    errors, relative.  ``covariance_of_fit`` and ``residual_norm`` use
+    the weighted linear rows.
     """
     lags = curve.lags
     if lags.size < 2 or lags[-1] / lags[0] < 10.0:
         raise DomainError("fit needs >= 2 lags spanning at least one decade")
     A = np.column_stack([2.0 * lags, _C_FLICKER * lags**2])
-    w = np.sqrt(curve.counts.astype(float))
+    counts = curve.counts.astype(float)
+    rel_se = np.sqrt(4.0 * (lags / lags[0]) / (3.0 * counts))
+
+    w = np.sqrt(counts)
+    weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
+    if weights.any():
+        # the model variance is positive at every lag once any weight is
+        w = 1.0 / ((A @ weights) * rel_se)
+        weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
     Aw = A * w[:, None]
     yw = curve.variances * w
 
-    weights, _ = scipy.optimize.nnls(Aw, yw)
     if log_space:
         safe_floor = max(curve.variances.max() * 1e-300, 1e-300)
 
         def resid(p):
             model = A @ np.abs(p)
-            return w * (np.log(np.maximum(model, safe_floor))
-                        - np.log(np.maximum(curve.variances, safe_floor)))
+            return (np.log(np.maximum(model, safe_floor))
+                    - np.log(np.maximum(curve.variances, safe_floor))) / rel_se
 
         start = np.maximum(weights, 1e-12 * max(weights.max(), 1.0))
         sol = scipy.optimize.least_squares(resid, start, method="lm")

@@ -17,7 +17,9 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from dataclasses import dataclass, field
+from typing import NoReturn
 
 import numpy as np
 
@@ -26,6 +28,8 @@ from .errors import DomainError, OscNoiseError, TraceFormatError
 from .fbm import NoiseMixture, OscillatorConfig, TimeGrid
 
 __all__ = ["PhaseTrace", "dispatch", "main", "read_trace", "write_trace"]
+
+_WRITE_BLOCK = 1 << 16  # samples formatted per write in write_trace
 
 
 @dataclass(frozen=True)
@@ -65,6 +69,37 @@ def _parse_header(line: str) -> dict[str, str]:
     return fields
 
 
+def _leading_header(path: str) -> dict[str, str]:
+    # the first comment line with key=value fields before the first sample
+    with open(path, "r", encoding="ascii") as fh:
+        for line in fh:
+            line = line.strip()
+            if line.startswith("#"):
+                header = _parse_header(line)
+                if header:
+                    return header
+            elif line:
+                break
+    return {}
+
+
+def _raise_bad_line(path: str, reason: str) -> NoReturn:
+    # error path of read_trace: find the first line that is neither blank,
+    # a comment nor one float, to report it with its line number
+    with open(path, "r", encoding="ascii") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line or line.startswith("#"):
+                continue
+            try:
+                float(line)
+            except ValueError:
+                raise TraceFormatError(
+                    f"{path}:{lineno}: expected one float per line, got {line!r}"
+                ) from None
+    raise TraceFormatError(f"{path}: cannot parse samples: {reason}")
+
+
 def read_trace(
     path: str,
     fmt: str = "csv",
@@ -74,7 +109,11 @@ def read_trace(
     """Load a phase trace; ``fmt`` is ``"csv"`` or ``"raw_f64_le"``.
 
     For raw input the sample interval must come from ``dt``; for CSV it
-    comes from the header (a ``dt`` argument overrides it).
+    comes from the header (a ``dt`` argument overrides it).  The CSV
+    header is the first ``#`` line with ``key=value`` fields before the
+    first sample; the samples are parsed in one ``np.loadtxt`` call,
+    which rounds correctly, so ``write_trace`` output reads back
+    bit-exactly.  Blank lines and ``#`` comment lines are skipped.
     """
     if fmt == "raw_f64_le":
         if dt is None:
@@ -83,23 +122,16 @@ def read_trace(
         return PhaseTrace(dt=dt, samples=samples, f0=f0, source=path)
     if fmt != "csv":
         raise TraceFormatError(f"unknown trace format {fmt!r}")
-    header: dict[str, str] = {}
-    values = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                if not header:
-                    header = _parse_header(line)
-                continue
-            try:
-                values.append(float(line))
-            except ValueError:
-                raise TraceFormatError(
-                    f"{path}:{lineno}: expected one float per line, got {line!r}"
-                ) from None
+    header = _leading_header(path)
+    with warnings.catch_warnings():
+        # a header-only file is reported below as too short, not as a warning
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            values = np.loadtxt(path, comments="#", dtype=float, ndmin=2, encoding="ascii")
+        except ValueError as exc:
+            _raise_bad_line(path, str(exc))
+    if values.shape[1] != 1:
+        _raise_bad_line(path, f"{values.shape[1]} columns")
     if dt is None:
         if "dt" not in header:
             raise TraceFormatError(f"{path}: header missing dt")
@@ -112,7 +144,7 @@ def read_trace(
             f0 = float(header["f0"])
         except ValueError:
             raise TraceFormatError(f"{path}: bad f0 {header['f0']!r}") from None
-    return PhaseTrace(dt=dt, samples=np.array(values), f0=f0, source=path)
+    return PhaseTrace(dt=dt, samples=values[:, 0], f0=f0, source=path)
 
 
 def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
@@ -129,8 +161,10 @@ def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
         fh.write(header + "\n")
         if trace.source:
             fh.write(f"# {trace.source}\n")
-        for v in trace.samples:
-            fh.write(f"{float(v)!r}\n")
+        # in blocks, so the Python strings of a long trace never all exist
+        for start in range(0, trace.samples.size, _WRITE_BLOCK):
+            block = trace.samples[start : start + _WRITE_BLOCK].tolist()
+            fh.write("\n".join(map(repr, block)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +272,8 @@ def _cmd_simulate(args) -> int:
         f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 else ""),
         f"# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={args.paths}",
     ]
-    lines += [",".join(repr(float(v)) for v in row) for row in paths]
+    # one row at a time, so no Python float exists for the whole matrix
+    lines += [",".join(map(repr, row.tolist())) for row in paths]
     _emit_lines(lines, args.out)
     return 0
 

@@ -280,19 +280,28 @@ def simulate(
     return L @ rng.standard_normal((len(grid), n_paths))
 
 
-def _ma_kernel(h: float, n: int, dt_fine: float) -> np.ndarray:
-    # cell weights of the moving-average discretisation; chosen so the
-    # one-point variance of the discrete process is exact at every sample
-    j = np.arange(n, dtype=float)
+def _ma_kernel(h: float, j: np.ndarray, dt_fine: float) -> np.ndarray:
+    # cell weights of the moving-average discretisation at fine lags j;
+    # chosen so the one-point variance of the discrete process is exact at
+    # every sample
     incr = (j + 1.0) ** (2.0 * h) - j ** (2.0 * h)
     return dt_fine**h * np.sqrt(incr / (2.0 * h)) / math.gamma(h + 0.5)
 
 
-def _fft_causal_convolve(x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    n = x.size
+def _decimated_moving_average(xi: np.ndarray, h: float, o: int, dt_fine: float) -> np.ndarray:
+    # outputs o*i + o-1 of the fine-grid causal sum sum_j g[j] xi[k - j],
+    # with g the kernel at j = 0 .. n*o - 1.  Writing j = o*q + r splits
+    # it into o causal convolutions of length n, g[r::o] with xi[o-1-r::o],
+    # whose spectra add before a single inverse FFT of length 2n
+    nf = xi.size
+    n = nf // o
     npad = 1 << int(math.ceil(math.log2(2 * n)))
-    out = np.fft.irfft(np.fft.rfft(x, npad) * np.fft.rfft(g, npad), npad)[:n]
-    return out
+    acc = np.zeros(npad // 2 + 1, dtype=complex)
+    for r in range(o):
+        part = np.fft.rfft(_ma_kernel(h, np.arange(r, nf, o, dtype=float), dt_fine), npad)
+        part *= np.fft.rfft(xi[o - 1 - r :: o], npad)
+        acc += part
+    return np.fft.irfft(acc, npad)[:n]
 
 
 def simulate_trace(
@@ -313,6 +322,13 @@ def simulate_trace(
     shrinks like 1/(oversample * m) (about -1.5% at m = 1 for H = 1 with
     the default oversampling, and exact for H = 1/2, which bypasses the
     moving average entirely).
+
+    Only the kept samples of the fine-grid moving average are computed:
+    the sum is split into ``oversample`` polyphase convolutions of length
+    n_samples, so every FFT has length 2 n_samples (rounded up to a power
+    of two) rather than 2 n_samples * oversample, and the kernel is built
+    one phase at a time.  Memory is O(n_samples * oversample) for the
+    innovations plus O(n_samples) for the rest.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
@@ -330,10 +346,8 @@ def simulate_trace(
                 rng.standard_normal(n_samples) * math.sqrt(dt)
             )
             continue
-        nf = n_samples * oversample
-        dt_fine = dt / oversample
-        xi = rng.standard_normal(nf)
-        g = _ma_kernel(hurst.h, nf, dt_fine)
-        fine = _fft_causal_convolve(xi, g)
-        total += coeff * fine[oversample - 1 :: oversample][:n_samples]
+        xi = rng.standard_normal(n_samples * oversample)
+        total += coeff * _decimated_moving_average(
+            xi, hurst.h, oversample, dt / oversample
+        )
     return total

@@ -183,3 +183,29 @@ def loglog_slope(x: np.ndarray, y: np.ndarray) -> float:
 def central_decade_mask(omega: np.ndarray, dt: float) -> np.ndarray:
     om_max = math.pi / dt
     return (omega >= om_max / 10**1.5) & (omega <= om_max / 10**0.5)
+
+
+def ma_trace_direct(mix, n: int, dt: float, seed: int, oversample: int) -> np.ndarray:
+    """The moving-average trace generator by direct fine-grid convolution.
+
+    Replays ``fbm.simulate_trace``'s PCG64 draws component by component;
+    each non-white component's fine-grid innovations go through one full
+    ``np.convolve`` with the package's kernel (the discretised law, not
+    the convolution under test), and every oversample-th output is kept.
+    """
+    from oscnoise.fbm import _ma_kernel
+
+    rng = np.random.default_rng(seed)
+    total = np.zeros(n)
+    for hurst, coeff in mix.components:
+        if coeff == 0.0:
+            continue
+        if hurst.h == 0.5:
+            total += coeff * np.cumsum(rng.standard_normal(n) * math.sqrt(dt))
+            continue
+        nf = n * oversample
+        xi = rng.standard_normal(nf)
+        g = _ma_kernel(hurst.h, np.arange(nf, dtype=float), dt / oversample)
+        fine = np.convolve(xi, g)[:nf]
+        total += coeff * fine[oversample - 1 :: oversample]
+    return total

@@ -221,6 +221,18 @@ class TestFitMixture:
         fit = allan.fit_mixture(_curve(lags, vals))
         assert fit.c_white >= 0.0 and fit.c_flicker >= 0.0
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_white_pinned_by_standard_error_weights(self, seed):
+        # lag 1 fixes c_white to a few 0.1%; weighting rows only by
+        # sqrt(count) lets lag 100 dominate and spreads it by several %
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        x = fbm.simulate_trace(mix, 500_000, 1.0, seed=seed, oversample=4)
+        curve = allan.estimate(PhaseTrace(dt=1.0, samples=x), range(1, 101))
+        for log_space in (False, True):
+            fit = allan.fit_mixture(curve, log_space=log_space)
+            assert abs(fit.c_white - 1.0) < 0.01, (seed, log_space, fit.c_white)
+            assert abs(fit.c_flicker / 0.5 - 1.0) < 0.03, (seed, log_space, fit.c_flicker)
+
     def test_needs_a_decade(self):
         with pytest.raises(DomainError):
             allan.fit_mixture(_curve([1.0, 2.0, 5.0], [2.0, 4.0, 10.0]))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from oscnoise import entropy, fbm
+from oscnoise import cli, entropy, fbm
 from oscnoise.cli import PhaseTrace, dispatch, read_trace, write_trace
 from oscnoise.errors import TraceFormatError
 from oscnoise.fbm import NoiseMixture, OscillatorConfig
@@ -63,6 +63,63 @@ class TestTraceIO:
         path.write_text("# dt=1.0\n0.1\nhello,world\n0.3\n")
         with pytest.raises(TraceFormatError, match=":3"):
             read_trace(str(path))
+
+    def test_comments_blank_lines_whitespace_crlf(self, tmp_path):
+        path = tmp_path / "messy.csv"
+        path.write_bytes(
+            b"# generated by hand\r\n\r\n# dt=0.5 f0=2e6\r\n# dt=9\r\n  0.1  \r\n"
+            b"# note between samples\r\n\r\n\t-0.2\r\n0.3\r\n\r\n"
+        )
+        trace = read_trace(str(path))
+        assert trace.dt == 0.5 and trace.f0 == 2e6
+        assert trace.samples.tolist() == [0.1, -0.2, 0.3]
+
+    @pytest.mark.parametrize(
+        "body, lineno",
+        [
+            ("0.1\n0.2 0.3\n0.4\n", 3),
+            ("1 2\n3 4\n5 6\n", 2),
+            ("0.1 0.2 0.3\n", 2),
+            ("0.1\n0.2\n\n# c\n1,5\n", 6),
+        ],
+    )
+    def test_extra_column_carries_line_number(self, tmp_path, body, lineno):
+        path = tmp_path / "cols.csv"
+        path.write_text("# dt=1.0\n" + body)
+        with pytest.raises(TraceFormatError, match=f":{lineno}: expected one float"):
+            read_trace(str(path))
+
+    def test_inf_rejected_with_index(self, tmp_path):
+        path = tmp_path / "inf.csv"
+        path.write_text("# dt=1.0\n0.1\n0.2\ninf\n")
+        with pytest.raises(TraceFormatError, match="index 2"):
+            read_trace(str(path))
+
+    @pytest.mark.parametrize("body", ["0.5\n", ""])
+    def test_too_short(self, tmp_path, body):
+        path = tmp_path / "short.csv"
+        path.write_text("# dt=1.0\n" + body)
+        with pytest.raises(TraceFormatError, match="at least 3 samples"):
+            read_trace(str(path))
+
+    def test_extreme_values_roundtrip_bitwise(self, tmp_path):
+        values = np.array(
+            [-0.0, 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1e-300]
+        )
+        path = str(tmp_path / "extreme.csv")
+        write_trace(PhaseTrace(dt=1.0, samples=values), path)
+        back = read_trace(path)
+        np.testing.assert_array_equal(back.samples.view(np.int64), values.view(np.int64))
+
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_csv_one_repr_per_line(self, tmp_path, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+        values = np.random.default_rng(3).standard_normal(20)
+        path = tmp_path / "t.csv"
+        write_trace(PhaseTrace(dt=0.25, samples=values, source="s"), str(path))
+        body = "".join(f"{float(v)!r}\n" for v in values)
+        assert path.read_text() == "# dt=0.25\n# s\n" + body
 
     def test_raw_needs_dt(self, tmp_path):
         path = tmp_path / "t.raw"

@@ -346,6 +346,29 @@ class TestSimulateTrace:
         expected = fbm.variance(1.0, 64.0)
         assert np.var(vals) == pytest.approx(expected, rel=4.0 / math.sqrt(reps))
 
+    @pytest.mark.parametrize("oversample", [1, 3, 8])
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_matches_direct_convolution(self, n, h, oversample):
+        mix = NoiseMixture.single(h, 0.7)
+        got = fbm.simulate_trace(mix, n, 0.5, seed=5, oversample=oversample)
+        want = _oracles.ma_trace_direct(mix, n, 0.5, 5, oversample)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("oversample", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((0.5, 1.0), (1.0, 0.5)),
+            ((0.3, 0.7), (0.5, 1.0), (1.0, 0.0), (1.25, 0.2)),
+        ],
+    )
+    def test_mixture_matches_direct_convolution(self, pairs, oversample):
+        mix = NoiseMixture.from_pairs(pairs)
+        got = fbm.simulate_trace(mix, 1000, 1.0, seed=13, oversample=oversample)
+        want = _oracles.ma_trace_direct(mix, 1000, 1.0, 13, oversample)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     def test_validation(self):
         mix = NoiseMixture.single(1.0)
         with pytest.raises(DomainError):
