@@ -18,40 +18,19 @@ to the closed form from above as the observation grid densifies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.linalg
 
 from . import fbm
 from .errors import DomainError
-from .fbm import HurstExponent, NoiseMixture, TimeGrid, _as_hurst
+from .fbm import NoiseMixture, TimeGrid, _as_hurst
 
 __all__ = [
-    "ConditionalLaw",
     "conditional_covariance",
-    "conditional_law",
     "conditional_variance",
     "discrete_posterior",
     "renewal_sample",
 ]
-
-
-@dataclass(frozen=True)
-class ConditionalLaw:
-    """Leftover law of one component after full-history leakage: a zero-drift
-    restart with variance gap_tau^(2H) / (2H Gamma(H+1/2)^2)."""
-
-    gap_tau: float
-    variance: float
-    hurst: HurstExponent
-
-
-def conditional_law(h, gap_tau: float) -> ConditionalLaw:
-    h = _as_hurst(h)
-    if gap_tau <= 0:
-        raise DomainError(f"gap must be positive, got {gap_tau}")
-    return ConditionalLaw(gap_tau, fbm.variance(h, gap_tau), h)
 
 
 def conditional_variance(mix: NoiseMixture, gap_tau: float) -> float:

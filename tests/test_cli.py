@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -180,9 +183,8 @@ class TestDispatch:
             + ["--out", out]
         )
         assert code == 0
-        rows = [
-            line for line in open(out) if not line.startswith("#")
-        ]
+        with open(out) as fh:
+            rows = [line for line in fh if not line.startswith("#")]
         data = np.array([[float(v) for v in row.split(",")] for row in rows])
         assert data.shape == (100, 10)
         from oscnoise.fbm import TimeGrid
@@ -218,8 +220,32 @@ class TestDispatch:
         assert lines[0] == "omega,value,branch"
         assert len(lines) == 6
         omega, value, branch = lines[1].split(",")
-        assert branch in ("series", "asymptotic")
+        assert branch == "bessel"
         assert float(value) > 0
+
+    def test_spectrum_runs_without_mpmath(self, tmp_path):
+        # omega in [0.1, 1e3] at T = 1 runs both 1F2 branches; neither may
+        # import the arbitrary-precision library, a test-only dependency
+        out = tmp_path / "spectrum.csv"
+        script = (
+            "import sys\n"
+            "from oscnoise.cli import dispatch\n"
+            "code = dispatch(['spectrum', '--hurst', '0.75', '--avg-time', '1',\n"
+            "                 '--omega-min', '0.1', '--omega-max', '1e3', '--n-omega', '50',\n"
+            "                 '--out', sys.argv[1]])\n"
+            "print(code, 'mpmath' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["0", "False"]
+        branches = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]
+        assert "series" in branches and "bessel" in branches
 
     def test_leakage_json_breakdown(self, capsys):
         code = dispatch("leakage --c-white 1 --c-flicker 0.5 --gap 1.0".split())
@@ -253,7 +279,8 @@ class TestDispatch:
         )
         assert code == 0
         capsys.readouterr()
-        lines = open(curves).read().strip().splitlines()
+        with open(curves) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "sigma2,bias,min_entropy_bits"
         rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         assert np.all(np.diff(rows[:, 1]) <= 1e-12)  # bias non-increasing
@@ -279,7 +306,8 @@ class TestDispatch:
             ["avar", "--in", trace_path, "--lags", "1:64:4", "--out", curve_path]
         )
         assert code == 0
-        lines = open(curve_path).read().strip().splitlines()
+        with open(curve_path) as fh:
+            lines = fh.read().strip().splitlines()
         assert lines[0] == "lag_s,var,var_normalized,count"
         first = lines[1].split(",")
         assert float(first[1]) == pytest.approx(2.0, rel=0.1)

@@ -23,11 +23,6 @@ class TestConditionalVariance:
             1.0 + 0.25 * 2.0 / math.pi, rel=1e-12
         )
 
-    def test_gap_only_dependence(self):
-        law = leakage.conditional_law(0.8, 0.3)
-        assert law.variance == pytest.approx(fbm.variance(0.8, 0.3), rel=1e-14)
-        assert law.gap_tau == 0.3
-
     def test_domain(self):
         with pytest.raises(DomainError):
             leakage.conditional_variance(NoiseMixture.single(0.5), 0.0)

@@ -151,10 +151,28 @@ class TestHyp2F1:
             specfun.hyp2f1_restricted(1.0, 0.5 - 0.3, 0.3 + 1.5, 0.5, tol=tol)
 
 
+# the H grid of the 1F2 error-estimate sweep, across (0, 3/2)
+SWEEP_H = [0.01, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0, 1.25, 1.49]
+# (b1 - H, b2 - H) of the instantaneous and the time-averaged family
+FAMILIES = [(1.0, 1.5), (1.5, 2.0)]
+
+
+def _leading_term(h: float, d1: float, s: float) -> float:
+    # the power law both families approach: Gamma(2H + 2 d1) / (2s)^(2H+1)
+    return math.gamma(2.0 * h + 2.0 * d1) / (2.0 * s) ** (2.0 * h + 1.0)
+
+
 class TestHyp1F2:
     def test_empty_tail_at_zero(self):
         res = specfun.hyp1f2(1.0, 1.5, 2.0, 0.0)
         assert res.value == 1.0 and res.branch == "series"
+
+    @pytest.mark.parametrize("h", [0.01, 0.5, 1.49])
+    def test_tiny_argument_is_one(self, h):
+        # s^-(2H+1) of the closed form would overflow here; the series does not
+        for d1, d2 in FAMILIES:
+            res = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -1e-300)
+            assert res.value == pytest.approx(1.0, abs=1e-15) and res.branch == "series"
 
     def test_series_matches_highprecision_sum(self):
         # H = 1/2, x = -1: also equals sin(1)^2 in closed form
@@ -163,7 +181,9 @@ class TestHyp1F2:
         assert res.value == pytest.approx(math.sin(1.0) ** 2, rel=1e-12)
 
     @pytest.mark.parametrize("h", [0.3, 0.5, 0.75, 1.0, 1.4])
-    @pytest.mark.parametrize("s", [0.5, 5.0, 15.0, 29.0, 31.0, 80.0, 500.0])
+    @pytest.mark.parametrize(
+        "s", [0.5, 1.0, 2.0, 5.0, 12.0, 13.2, 15.0, 29.0, 31.0, 80.0, 500.0]
+    )
     def test_both_families_match_reference(self, h, s):
         for b1, b2 in [(h + 1.0, h + 1.5), (h + 1.5, h + 2.0)]:
             res = specfun.hyp1f2(h + 0.5, b1, b2, -s * s)
@@ -172,32 +192,67 @@ class TestHyp1F2:
             budget = max(res.error_estimate * 3.0, abs(ref) * 1e-9, 1e-18)
             assert abs(res.value - ref) <= budget, (h, s, b1, res)
 
+    @pytest.mark.parametrize("h", SWEEP_H)
+    @pytest.mark.parametrize("d1, d2", FAMILIES)
+    def test_error_estimate_honest_and_tight(self, h, d1, d2):
+        # every value within its error estimate of the reference sum, and the
+        # estimate within 1e-11 of the larger of |F| and the leading power
+        # law; s in [3, 15] holds the first zero crossings of the
+        # instantaneous family for H > 1/2
+        grid = np.concatenate([np.logspace(-6, math.log10(500.0), 61), np.linspace(3.0, 15.0, 49)])
+        for s in grid.tolist():
+            res = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+            ref = _oracles.mp_hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+            # the reference is itself rounded to a double
+            assert abs(res.value - ref) <= res.error_estimate + abs(ref) * 2.0**-53, (s, res, ref)
+            bound = 1e-11 * max(abs(ref), _leading_term(h, d1, s))
+            assert res.error_estimate <= bound, (s, res, ref)
+
+    def test_error_estimate_covers_rounded_roots(self):
+        # s = sqrt(-x) rounds, which moves the phase of the oscillation by up
+        # to X 2^-53: the value is moved back to first order and the second
+        # order is in the estimate, out to s = 1e12.  Dyadic H keeps the three
+        # parameters exact, so the reference is the very family evaluated
+        rng = np.random.default_rng(4)
+        for h in (0.25, 0.75, 1.484375):
+            for d1, d2 in FAMILIES:
+                for s in np.exp(rng.uniform(math.log(100.0), math.log(1e12), 40)).tolist():
+                    res = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+                    ref = _oracles.mp_hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+                    assert abs(res.value - ref) <= res.error_estimate + abs(ref) * 2.0**-53, (h, s)
+
     def test_cross_branch_consistency(self):
-        # spectrum at H=1/2, t=1, omega=50: series branch (forced by a
-        # high crossover) against the default asymptotic branch
-        x = -(50.0**2)
-        asym = specfun.hyp1f2(1.0, 1.5, 2.0, x)
-        series = specfun.hyp1f2(1.0, 1.5, 2.0, x, crossover=100.0)
-        assert asym.branch == "asymptotic" and series.branch == "series"
-        assert asym.value == pytest.approx(series.value, rel=1e-2)
-        # both agree with the closed form (1 - cos(2x))/(2 x^2) to much better
+        # the series at s = 1 and the closed form one ulp above meet without
+        # a step, for every H and both families
+        above = math.nextafter(1.0, 2.0)
+        for h in SWEEP_H:
+            for d1, d2 in FAMILIES:
+                lo = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -1.0)
+                hi = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -above * above)
+                assert lo.branch == "series" and hi.branch == "bessel"
+                assert abs(hi.value - lo.value) <= lo.error_estimate + hi.error_estimate + 1e-15
+        # H = 1/2 has the elementary form (1 - cos(2s))/(2 s^2)
+        res = specfun.hyp1f2(1.0, 1.5, 2.0, -(50.0**2))
         exact = (1.0 - math.cos(100.0)) / (2.0 * 50.0**2)
-        assert asym.value == pytest.approx(exact, rel=1e-9)
+        assert res.value == pytest.approx(exact, rel=1e-9)
 
     def test_branch_agreement_window(self):
-        # overlap window around the native-series limit
-        for h in [0.5, 1.0]:
-            for s in [20.0, 25.0]:
-                x = -s * s
-                ser = specfun.hyp1f2(h + 0.5, h + 1.0, h + 1.5, x, crossover=1e9)
-                asy = specfun.hyp1f2(h + 0.5, h + 1.0, h + 1.5, x, crossover=1.0)
-                assert ser.branch == "series" and asy.branch == "asymptotic"
-                assert abs(ser.value - asy.value) <= 1e-5 * max(abs(ser.value), 1e-6)
+        # around the switch at s = 1: the series at and below it, the closed
+        # form above, both within their error estimates of the reference
+        for s in np.linspace(0.5, 2.0, 16).tolist():
+            for h in (0.3, 1.25):
+                for d1, d2 in FAMILIES:
+                    res = specfun.hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+                    ref = _oracles.mp_hyp1f2(h + 0.5, h + d1, h + d2, -s * s)
+                    assert res.branch == ("series" if s <= 1.0 else "bessel")
+                    assert abs(res.value - ref) <= res.error_estimate + abs(ref) * 2.0**-53
 
     def test_error_metadata_flags_branch(self):
         res = specfun.hyp1f2(1.5, 2.5, 3.0, -(40.0**2))
-        assert res.branch == "asymptotic"
-        assert res.error_estimate >= 0.0
+        ref = _oracles.mp_hyp1f2(1.5, 2.5, 3.0, -(40.0**2))
+        assert res.branch == "bessel"
+        assert 0.0 < res.error_estimate <= 1e-11 * abs(ref)
+        assert abs(res.value - ref) <= res.error_estimate
 
     def test_domain_errors(self):
         with pytest.raises(DomainError):
@@ -206,6 +261,9 @@ class TestHyp1F2:
             specfun.hyp1f2(1.0, 1.4, 2.0, -1.0)  # wrong family
         with pytest.raises(DomainError):
             specfun.hyp1f2(2.2, 3.2, 3.7, -1.0)  # H out of range
+        for x in (math.nan, -math.inf, -1e30):  # not finite; s beyond 5e14
+            with pytest.raises(DomainError):
+                specfun.hyp1f2(1.0, 1.5, 2.0, x)
 
 
 class TestTheta3:

@@ -9,6 +9,9 @@ from oscnoise.fbm import TimeGrid
 
 import _oracles
 
+# H across (0, 3/2)
+SWEEP_H = [0.01, 0.1, 0.3, 0.5, 0.75, 0.999, 1.0, 1.25, 1.49]
+
 
 class TestInstantaneous:
     def test_small_omega_limit(self):
@@ -46,7 +49,6 @@ class TestInstantaneous:
                 t = float(rng.uniform(0.1, 5.0))
                 w = float(rng.uniform(0.05, 29.0 / t))
                 pt = spectrum.instantaneous(h, t, w)
-                assert pt.branch == "series"
                 assert pt.value >= -1e-15, (h, t, w)
 
     def test_wigner_ville_negativity_beyond_white(self):
@@ -55,16 +57,25 @@ class TestInstantaneous:
         assert min(vals) < 0.0
 
     def test_oscillation_envelope(self):
-        for h, t in [(0.5, 1.0), (1.0, 1.0)]:
-            for w in np.linspace(40.0, 400.0, 60):
+        # out to t*omega = 1e7, against the power law and its envelope
+        t = 1.0
+        for h in SWEEP_H:
+            for w in np.concatenate([np.linspace(40.0, 400.0, 60), np.logspace(3, 7, 41)]):
                 pt = spectrum.instantaneous(h, t, w)
                 dev = abs(pt.value * w ** (2 * h + 1) - 1.0)
                 env = spectrum.oscillation_envelope(h, t, w)
-                assert dev <= env * 1.05 + 1e-9
+                assert dev <= env * 1.05 + 1e-9, (h, w)
 
     def test_branch_flag(self):
-        assert spectrum.instantaneous(0.75, 1.0, 2.0).branch == "series"
-        assert spectrum.instantaneous(0.75, 1.0, 200.0).branch == "asymptotic"
+        # the series up to t*omega = 1, the Bessel-Struve closed form above,
+        # both against the reference sum
+        h = 0.75
+        for w, branch in [(0.5, "series"), (1.0, "series"), (2.0, "bessel"), (200.0, "bessel")]:
+            pt = spectrum.instantaneous(h, 1.0, w)
+            f = _oracles.mp_hyp1f2(h + 0.5, h + 1.0, h + 1.5, -w * w)
+            ref = 2.0 ** (2 * h + 1) * f / math.gamma(2 * h + 2)
+            assert pt.branch == branch
+            assert abs(pt.value - ref) <= 1e-11 * max(abs(ref), w ** -(2 * h + 1))
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -86,6 +97,18 @@ class TestTimeAveraged:
             T, w = 1.0, 1e3
             pt = spectrum.time_averaged(h, T, w)
             assert pt.value * w ** (2 * h + 1) == pytest.approx(1.0, abs=0.05)
+
+    @pytest.mark.parametrize("h", SWEEP_H)
+    def test_power_law_out_to_1e7(self, h):
+        # averaging divides the instantaneous deviation by about T w: what
+        # is left falls like H env / (T w), or like 1 / (T w) for H < 1/2;
+        # checked out to T w = 1e7
+        T = 1.0
+        for w in np.logspace(1, 7, 61):
+            pt = spectrum.time_averaged(h, T, w)
+            dev = abs(pt.value * w ** (2 * h + 1) - 1.0)
+            env = spectrum.oscillation_envelope(h, T, w)
+            assert dev <= (1.0 + h * env) / (T * w), (h, w)
 
     def test_consistency_with_time_quadrature(self):
         from scipy.integrate import quad
