@@ -94,7 +94,7 @@ def avar_constant(h) -> float:
     """Lag-independent constant C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1).
 
     Continuous across the removable singularity at H = 1, where it is
-    evaluated by a quadratic expansion around the limit 4 ln2 / pi.
+    evaluated by a second-order expansion around the limit 4 ln2 / pi.
     """
     h = _as_hurst(h).h
     u = h - 1.0

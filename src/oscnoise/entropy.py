@@ -9,17 +9,27 @@ theta function:
 
 An attacker who controls the initial phase offset slides the window; the
 extreme window positions are centred on the density's peak or trough, so
-the worst-case bias over offsets is
+the worst-case bias over offsets is the mass of the peak-centred window
+of half-width amax pi on the 2 pi period, less 1/2:
 
-    eps(sigma, alpha) = (1/pi) * integral_0^(amax pi)
-                        theta_3(y/2, exp(-sigma^2/2)) dy - 1/2,
+    eps(sigma, alpha) = P(|Y - mu| <= amax pi) - 1/2,   Y - mu in (-pi, pi],
 
 with amax = max(alpha, 1 - alpha): whichever of the bit and its
 complement owns the longer window pins more probability around the
-peak.  (Evaluating the integral at alpha itself gives the bias of the
-peak-centred window only; for alpha < 1/2 the trough-centred placement
-is worse, which the offset-scan oracle in the test suite confirms.)
-Min-entropy of the bit is -log2(1/2 + eps).
+peak.  (The window of alpha itself gives the bias of the peak-centred
+window only; for alpha < 1/2 the trough-centred placement is worse,
+which the offset-scan oracle in the test suite confirms.)  The mass has
+two exact closed forms: the theta series, each term's window mass in
+closed form,
+
+    amax + (2/pi) sum_n exp(-n^2 sigma^2 / 2) sin(n pi amax) / n,
+
+summed for sigma^2 >= 2, and the sum over Gaussian images
+
+    sum_k [Phi((amax pi + 2 pi k)/sigma) - Phi((-amax pi + 2 pi k)/sigma)],
+
+summed below; both are ``specfun.wrapped_gaussian``.  Min-entropy of the
+bit is -log2(1/2 + eps).
 """
 
 from __future__ import annotations
@@ -28,7 +38,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 
 from . import fbm, leakage, specfun
 from .errors import DomainError, NoSolutionError
@@ -44,9 +53,6 @@ __all__ = [
     "solve_min_dt",
     "wrapped_gaussian_pdf",
 ]
-
-_QUAD_ABS_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class WrappedGaussian:
@@ -82,71 +88,50 @@ class SecurityReport:
 def wrapped_gaussian_pdf(wg: WrappedGaussian, y: float) -> float:
     """Density of the wrapped Gaussian at y in [0, r).
 
-    The theta-function form theta_3(pi (mu - y) / r | q) / r with nome
-    q = exp(-2 pi^2 sigma2 / r^2); ``specfun.theta3`` itself switches to
-    the aliased Gaussian sum for nome above 0.9.  Rounding q costs a
-    relative error of about 2^-53 r^2 / (2 pi^2 sigma2) in the variance
-    (6e-12 at sigma2/r^2 = 1e-6), and once sigma2/r^2 falls below about
-    6e-18 the nome rounds to 1 and ``theta3`` raises ``DomainError``.
+    The unit-period ``specfun.wrapped_gaussian`` at (mu - y) / r with
+    variance sigma2 / r^2, divided by r; equal to
+    theta_3(pi (mu - y) / r | exp(-2 pi^2 sigma2 / r^2)) / r.
     """
     r = wg.period_r
     if not 0.0 <= y < r:
         raise DomainError(f"y must lie in [0, {r}), got {y}")
-    q = math.exp(-2.0 * math.pi**2 * wg.sigma2 / (r * r))
-    return specfun.theta3(math.pi * (wg.mu - y) / r, q) / r
+    return float(specfun.wrapped_gaussian((wg.mu - y) / r, wg.sigma2 / (r * r))) / r
 
 
-def _theta_window_mass(sigma2: float, frac: float) -> float:
-    """Probability that the wrapped phase lands within +-frac*pi of the
-    density peak, for the 2 pi period.
-
-    Adaptive quadrature of the theta density, split at the peak scale so
-    a sharply concentrated density is still resolved.
-    """
-    q = math.exp(-sigma2 / 2.0)
-    upper = frac * math.pi
-    sigma = math.sqrt(sigma2)
-    cuts = sorted({0.0, min(sigma, upper), min(8.0 * sigma, upper), upper})
-    total = 0.0
-    for a, b in zip(cuts[:-1], cuts[1:]):
-        if b <= a:
-            continue
-        val, _ = scipy.integrate.quad(
-            lambda y: specfun.theta3(y / 2.0, q),
-            a,
-            b,
-            epsabs=_QUAD_ABS_TOL,
-            epsrel=0.0,
-            limit=200,
-        )
-        total += val
-    return total / math.pi
-
-
-def bias(sigma2: float, alpha: float) -> float:
+def bias(sigma2, alpha: float):
     """Worst-case bit bias over the attacker-controlled phase offset.
 
-    sigma2 is the conditional phase variance (rad^2) and alpha the duty
-    cycle.  The value lies in [0, 1/2]; sigma2 = 0 forces a deterministic
-    bit (bias 1/2) and sigma2 -> infinity leaves only the duty-cycle
-    asymmetry |alpha - 1/2|.
+    sigma2 is the conditional phase variance (rad^2), a scalar or an
+    array, and alpha the duty cycle.  The value lies in [0, 1/2];
+    sigma2 = 0 forces a deterministic bit (bias 1/2) and sigma2 -> infinity
+    leaves only the duty-cycle asymmetry |alpha - 1/2|.  A scalar sigma2
+    gives a float, an array an array of its shape.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"duty cycle must lie in (0, 1), got {alpha}")
-    if sigma2 < 0 or not math.isfinite(sigma2):
+    s2 = np.asarray(sigma2, dtype=float)
+    if not np.all((s2 >= 0) & np.isfinite(s2)):
         raise DomainError(f"sigma2 must be >= 0, got {sigma2}")
-    if sigma2 < 1e-15:
-        # the missing window mass is ~exp(-pi^2/(8 sigma2)); indistinguishable
-        # from the deterministic limit many orders before the nome rounds to 1
-        return 0.5
     amax = max(alpha, 1.0 - alpha)
-    mass = _theta_window_mass(sigma2, amax)
-    return min(max(mass - 0.5, 0.0), 0.5)
+    v = s2 / (4.0 * math.pi**2)
+    eps = np.full(s2.shape, 0.5)  # where sigma is 0 the bit is fixed
+    noisy = v > 0.0
+    mass = specfun.wrapped_gaussian(amax / 2.0, v[noisy], mass=True)
+    eps[noisy] = np.clip(mass - 0.5, 0.0, 0.5)
+    return float(eps) if eps.ndim == 0 else eps
 
 
-def min_entropy(sigma2: float, alpha: float) -> float:
-    """Min-entropy of one sampled bit, -log2(1/2 + bias), in [0, 1]."""
-    return -math.log2(0.5 + bias(sigma2, alpha)) + 0.0  # normalise -0.0
+def _entropy_bits(eps):
+    """-log2(1/2 + eps), elementwise; adding 0.0 turns the -0.0 of a
+    saturated bias into 0.0."""
+    bits = -np.log2(0.5 + np.asarray(eps)) + 0.0
+    return float(bits) if bits.ndim == 0 else bits
+
+
+def min_entropy(sigma2, alpha: float):
+    """Min-entropy of one sampled bit, -log2(1/2 + bias), in [0, 1];
+    scalar or array in sigma2 like ``bias``."""
+    return _entropy_bits(bias(sigma2, alpha))
 
 
 def bandwidth_report(mix: NoiseMixture, osc: OscillatorConfig) -> SecurityReport:
@@ -166,7 +151,7 @@ def bandwidth_report(mix: NoiseMixture, osc: OscillatorConfig) -> SecurityReport
         sigma2=sigma2,
         duty_alpha=osc.duty_alpha,
         bias=eps,
-        min_entropy_bits=-math.log2(0.5 + eps) + 0.0,
+        min_entropy_bits=_entropy_bits(eps),
         per_component=per_component,
     )
 
@@ -229,16 +214,13 @@ def bias_entropy_curve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma2, bias, min-entropy) arrays over a variance grid.
 
-    Defaults to 60 log-spaced points on [0.01, 20].  The bias curve must
-    come out non-increasing in sigma2; a violation would mean the
-    quadrature lost the density peak, so it raises rather than returning
-    a silently wrong curve.
+    Defaults to 60 log-spaced points on [0.01, 20].  The bias is the
+    closed-form window mass of ``bias``, one vectorised call over the
+    grid: the Gaussian image sum below sigma2 = 2 and the theta series
+    from there on.
     """
     if sigma2_grid is None:
         sigma2_grid = np.logspace(math.log10(0.01), math.log10(20.0), 60)
     grid = np.asarray(sigma2_grid, dtype=float)
-    biases = np.array([bias(s2, alpha) for s2 in grid])
-    if np.any(np.diff(biases) > 1e-12):
-        raise DomainError("bias curve not non-increasing; quadrature failure")
-    entr = -np.log2(0.5 + biases)
-    return grid, biases, entr
+    biases = bias(grid, alpha)
+    return grid, biases, _entropy_bits(biases)

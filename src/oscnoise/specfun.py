@@ -19,9 +19,11 @@ hypergeometric routine could use:
   Both are integrals of u^H J_H(u), which DLMF 10.22.2 gives in closed
   form through Bessel J and Struve H functions; that form is used above
   s = 1, and the defining series, which has no cancellation there, below.
-* ``theta3`` is the Jacobi theta function; for nome close to 1 the
-  defining series is replaced by its modular dual, a wrapped Gaussian
-  sum, which converges fast exactly where the theta series does not.
+* ``wrapped_gaussian`` is the unit-period wrapped Gaussian, a function of
+  its variance v: its density and the mass of a centred window, from the
+  theta series in q = exp(-2 pi^2 v) for v >= 1/(2 pi^2) and from the sum
+  over Gaussian images below, each converging in a few terms on its side.
+  ``theta3(z | q)`` is its density at z/pi with v = -ln(q)/(2 pi^2).
 
 All functions are pure and safe to call from multiple threads.
 """
@@ -34,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import jv, struve
+from scipy.special import erf, jv, ndtr, struve
 
 from .errors import ConvergenceError, DomainError
 
@@ -48,6 +50,7 @@ __all__ = [
     "hyp1f2",
     "hyp2f1_restricted",
     "theta3",
+    "wrapped_gaussian",
 ]
 
 # distance of 2H to an integer below which the z -> 1-z connection formula
@@ -63,8 +66,9 @@ _DEGENERATE_NODES = 8
 _BLOCK = 8192
 # forward 2F1 series up to here, transformed series above
 _SERIES_SWITCH = 0.8
-# theta series below, wrapped Gaussian sum above
-_THETA_SWITCH = 0.9
+# unit-period variance from which the wrapped Gaussian sums its theta series
+# (nome <= 1/e, sigma^2 >= 2 on a 2 pi period); its Gaussian images below
+_THETA_SWITCH = 1.0 / (2.0 * math.pi**2)
 # s = sqrt(-x) up to which hyp1f2 sums its series; the series has no
 # cancellation there, while the closed form's X^-(2H+1) prefactor overflows
 # and its terms cancel as s -> 0
@@ -495,51 +499,88 @@ def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# Jacobi theta-3
+# Jacobi theta-3 and the wrapped Gaussian
 # ---------------------------------------------------------------------------
+
+
+def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> np.ndarray:
+    """Unit-period wrapped Gaussian with variance v > 0, elementwise.
+
+    Returns the density at x, which is theta_3(pi x | exp(-2 pi^2 v)), or
+    with ``mass`` the probability of the window [-x, x], 0 <= x <= 1/2.
+    Two dual forms of the same function are summed, split at
+    v = 1/(2 pi^2) (sigma^2 = 2 on a 2 pi period):
+
+    * at and above it, the theta series in q = exp(-2 pi^2 v) <= 1/e:
+      density 1 + 2 sum q^(n^2) cos(2 pi n x) and
+      mass 2x + (2/pi) sum q^(n^2) sin(2 pi n x) / n;
+    * below it, the sum over Gaussian images at the integers:
+      density sum_k exp(-(x - k)^2 / (2v)) / sqrt(2 pi v) and
+      mass sum_k [Phi((x + k)/sqrt(v)) - Phi((k - x)/sqrt(v))], taken as
+      erf(x/sqrt(2v)) plus twice the lower tails of the images k < 0,
+      so that no two numbers near 1 are subtracted.
+
+    Both forms' terms are largest at the split, so the term counts are set
+    there: the first omitted term is below min(abs_tol, rel_tol).
+    """
+    tol = tol or default_tolerance()
+    x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    n_series, n_images = _wrapped_term_counts(tol)
+    series = v >= _THETA_SWITCH
+    out = np.empty(x.shape)
+    out[series] = _wrapped_series(x[series], v[series], n_series, mass)
+    out[~series] = _wrapped_images(x[~series], v[~series], n_images, mass)
+    return out
+
+
+def _wrapped_term_counts(tol: Tolerance) -> tuple[int, int]:
+    # at the split the first omitted series term is below exp(-(n + 1)^2),
+    # and the first omitted image, at least k + 1/2 away, is below
+    # exp(-pi^2 (k + 1/2)^2) of the nearest; both are below half of eps
+    eps = min(tol.abs_tol, tol.rel_tol)
+    root = math.sqrt(math.log(2.0 / eps))
+    n_series = math.floor(root)
+    if n_series > tol.max_terms:
+        raise ConvergenceError(f"theta series needs {n_series} > {tol.max_terms} terms")
+    return n_series, max(1, math.ceil(root / math.pi))
+
+
+def _wrapped_series(x: np.ndarray, v: np.ndarray, n_terms: int, mass: bool) -> np.ndarray:
+    n = np.arange(1, n_terms + 1, dtype=float)
+    qn = np.exp(-2.0 * math.pi**2 * v[:, None] * (n * n))
+    phase = 2.0 * math.pi * (x - np.rint(x))[:, None] * n
+    if mass:
+        return 2.0 * x + (2.0 / math.pi) * np.sum(qn * np.sin(phase) / n, axis=1)
+    return 1.0 + 2.0 * np.sum(qn * np.cos(phase), axis=1)
+
+
+def _wrapped_images(x: np.ndarray, v: np.ndarray, n_images: int, mass: bool) -> np.ndarray:
+    sd = np.sqrt(v)
+    if mass:
+        k = np.arange(1, n_images + 1, dtype=float)
+        tails = ndtr((x[:, None] - k) / sd[:, None]) - ndtr((-x[:, None] - k) / sd[:, None])
+        return erf(x / (math.sqrt(2.0) * sd)) + 2.0 * np.sum(tails, axis=1)
+    k = np.arange(-n_images, n_images + 1, dtype=float)
+    u = ((x - np.rint(x))[:, None] - k) / sd[:, None]
+    return np.sum(np.exp(-0.5 * u * u), axis=1) / (sd * _SQRT_2PI)
 
 
 def theta3(z: float, q: float, tol: Tolerance | None = None) -> float:
     """theta_3(z | q) = 1 + 2 sum q^(n^2) cos(2nz), 0 <= q < 1.
 
-    For q above 0.9 the series converges slowly and the value is computed
-    from the modular dual instead: the wrapped Gaussian sum with variance
-    -ln(q)/(2 pi^2) on a unit period, which converges in a couple of
-    terms exactly where the theta series stalls.
+    The ``wrapped_gaussian`` density at z/pi with unit-period variance
+    v = -ln(q)/(2 pi^2); nomes above 1/e take its image sum, which
+    converges in a couple of terms exactly where the theta series stalls.
     """
-    tol = tol or default_tolerance()
     if not (0.0 <= q < 1.0) or not math.isfinite(z):
         raise DomainError(f"need 0 <= q < 1 and finite z, got q={q}, z={z}")
     if q == 0.0:
         return 1.0
-    if q <= _THETA_SWITCH:
-        total = 1.0
-        n = 1
-        while True:
-            total += 2.0 * q ** (n * n) * math.cos(2.0 * n * z)
-            nxt = 2.0 * q ** ((n + 1) ** 2)
-            if nxt < tol.abs_tol and nxt / (1.0 - q) < tol.rel_tol * max(
-                abs(total), tol.abs_tol
-            ):
-                return total
-            n += 1
-            if n >= tol.max_terms:
-                raise ConvergenceError(f"theta series exceeded {tol.max_terms} terms")
-    return _theta3_wrapped(z, q, tol)
+    return float(wrapped_gaussian(z / math.pi, -math.log(q) / (2.0 * math.pi**2), tol))
 
 
 def _theta3_wrapped(z: float, q: float, tol: Tolerance) -> float:
-    sigma2 = -math.log(q) / (2.0 * math.pi**2)
-    sigma = math.sqrt(sigma2)
-    d = (z / math.pi) % 1.0  # theta_3 has period pi in z
-    n0 = round(d)
-    total = 0.0
-    for k in range(0, 64):
-        shells = (n0,) if k == 0 else (n0 - k, n0 + k)
-        shell_sum = 0.0
-        for n in shells:
-            shell_sum += math.exp(-((d - n) ** 2) / (2.0 * sigma2))
-        total += shell_sum
-        if k > 0 and shell_sum < tol.abs_tol * sigma * _SQRT_2PI:
-            break
-    return total / (sigma * _SQRT_2PI)
+    """theta_3(z | q) by the image sum alone, for nomes above 1/e."""
+    v = np.array([-math.log(q) / (2.0 * math.pi**2)])
+    n_images = _wrapped_term_counts(tol)[1]
+    return float(_wrapped_images(np.array([z / math.pi]), v, n_images, False)[0])

@@ -36,6 +36,15 @@ class TestWrappedGaussian:
         got = entropy.wrapped_gaussian_pdf(wg, 0.0)
         assert got == pytest.approx(1.0 / (0.1 * math.sqrt(TWO_PI)), rel=1e-12)
 
+    @pytest.mark.parametrize("sigma2", [1e-6, 1e-10, 1e-16, 1e-200])
+    def test_small_sigma_matches_plain_gaussian(self, sigma2):
+        # two standard deviations off the mean; every other image is beyond
+        # double precision, so the wrapped density is the plain Gaussian
+        sigma = math.sqrt(sigma2)
+        wg = WrappedGaussian(mu=0.0, sigma2=sigma2, period_r=TWO_PI)
+        got = entropy.wrapped_gaussian_pdf(wg, 2.0 * sigma)
+        assert got == pytest.approx(math.exp(-2.0) / (sigma * math.sqrt(TWO_PI)), rel=1e-13)
+
     def test_normalization(self):
         wg = WrappedGaussian(mu=1.0, sigma2=0.49, period_r=TWO_PI)
         val, _ = quad(
@@ -83,12 +92,31 @@ class TestBias:
         for alpha in [0.5, 0.3, 0.7, 0.45]:
             assert entropy.bias(1e6, alpha) == pytest.approx(abs(alpha - 0.5), abs=1e-6)
 
+    def test_saturates_below_resolution(self):
+        for sigma2 in [1e-300, 1e-16, 1e-15]:
+            assert entropy.bias(sigma2, 0.5) == 0.5
+
     def test_matches_exact_series(self):
-        for sigma2 in [0.05, 0.25, 1.0, 4.0, 12.0]:
-            for alpha in [0.5, 0.3, 0.45, 0.7]:
-                assert entropy.bias(sigma2, alpha) == pytest.approx(
-                    _oracles.bias_series_exact(sigma2, alpha), abs=1e-9
-                )
+        grid = np.logspace(-6.0, 2.0, 400)
+        for alpha in [0.1, 0.3, 0.45, 0.5, 0.7, 0.77]:
+            got = entropy.bias(grid, alpha)
+            want = np.array([_oracles.bias_series_exact(float(s2), alpha) for s2 in grid])
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14)
+
+    def test_branches_agree_at_switch(self):
+        # image sum below sigma2 = 2, theta series from 2 on; 4 ulp either side
+        grid = np.concatenate([2.0 - 2.0**-52 * np.arange(4, 0, -1), 2.0 + 2.0**-51 * np.arange(5)])
+        for alpha in [0.1, 0.3, 0.5, 0.77]:
+            vals = entropy.bias(grid, alpha)
+            assert np.ptp(vals) <= 1e-15, (alpha, vals)
+
+    def test_accepts_arrays(self):
+        grid = np.array([[0.0, 0.3, 1.9], [2.0, 7.0, 1e4]])
+        got = entropy.bias(grid, 0.3)
+        assert got.shape == grid.shape
+        for s2, b in zip(grid.ravel(), got.ravel()):
+            assert b == entropy.bias(float(s2), 0.3)
+        assert isinstance(entropy.bias(1.0, 0.3), float)
 
     def test_matches_monte_carlo_scan(self):
         rng = np.random.default_rng(123)
@@ -130,14 +158,14 @@ class TestBias:
     def test_strictly_decreasing_in_sigma2(self):
         # below sigma2 ~ 0.05 the bias saturates at 1/2 to all 16 digits
         # (the missing tail mass is ~exp(-pi^2/(2 sigma2))), so strictness is
-        # only observable once the value is distinguishable from 1/2
-        grid = np.logspace(math.log10(0.01), math.log10(20.0), 40)
-        vals = [entropy.bias(float(s2), 0.5) for s2 in grid]
-        for a, b in zip(vals, vals[1:]):
-            if a < 0.5 - 1e-12:
-                assert b < a
-            else:
-                assert b <= a + 1e-12
+        # only observable once the value is distinguishable from 1/2; the
+        # grid crosses the switch between the two closed forms at 2
+        grid = np.logspace(math.log10(0.01), math.log10(20.0), 5000)
+        for alpha in [0.1, 0.3, 0.5, 0.77]:
+            vals = entropy.bias(grid, alpha)
+            steps = np.diff(vals)
+            assert np.all(steps <= 0.0), alpha
+            assert np.all(steps[vals[:-1] < 0.5 - 1e-12] < 0.0), alpha
 
     def test_domain(self):
         with pytest.raises(DomainError):
@@ -238,6 +266,13 @@ class TestCurve:
         grid, biases, entr = entropy.bias_entropy_curve(0.5)
         assert np.all(np.diff(biases) <= 1e-12)
         np.testing.assert_allclose(entr, -np.log2(0.5 + biases), rtol=1e-12)
+
+    def test_saturated_entropy_is_positive_zero(self):
+        for alpha in [0.1, 0.3, 0.5, 0.77]:
+            grid, biases, entr = entropy.bias_entropy_curve(alpha)
+            assert biases[0] == 0.5 and entr[0] == 0.0
+            assert not np.any(np.signbit(entr))
+        assert not math.copysign(1.0, entropy.min_entropy(0.0, 0.5)) < 0
 
     def test_asymmetric_alpha_curve(self):
         grid, biases, entr = entropy.bias_entropy_curve(0.3)

@@ -287,13 +287,23 @@ class TestTheta3:
             )
 
     def test_dual_branch_agreement_overlap(self):
-        # both representations available in the switch neighbourhood
-        for q in np.linspace(0.85, 0.92, 8):
+        # both representations available in the switch neighbourhood (q = 1/e)
+        for q in np.linspace(0.3, 0.45, 8):
             for z in np.linspace(0.0, math.pi, 9):
                 ser = specfun._theta3_wrapped(z, q, specfun.default_tolerance())
-                direct = specfun.theta3(z, min(q, 0.9))
-                if q <= 0.9:
+                direct = specfun.theta3(z, min(q, math.exp(-1.0)))
+                if q <= math.exp(-1.0):
                     assert abs(ser - direct) < 1e-10
+
+    def test_wrapped_gaussian_branches_agree_at_switch(self):
+        # image sum below v0, theta series from v0 on; a few ulp either side
+        v0 = 1.0 / (2.0 * math.pi**2)
+        v = v0 * (1.0 + 2.0**-52 * np.arange(-4, 5))
+        for x in np.linspace(0.0, 0.5, 11):
+            dens = specfun.wrapped_gaussian(x, v)
+            mass = specfun.wrapped_gaussian(x, v, mass=True)
+            assert np.ptp(dens) <= 4e-15 * dens.max(), x  # a few ulp
+            assert np.ptp(mass) <= 1e-15, x
 
     @settings(max_examples=60, deadline=None)
     @given(
