@@ -9,14 +9,17 @@ time-varying and averaged spectra (:mod:`oscnoise.spectrum`), leftover
 uncertainty after full leakage of the phase history
 (:mod:`oscnoise.leakage`), worst-case bit bias and min-entropy of
 threshold-sampled bits (:mod:`oscnoise.entropy`), and calibration of the
-noise coefficients from measured traces via second-difference statistics
-(:mod:`oscnoise.allan`).  ``oscnoise.cli`` exposes all of it as a
-command-line tool.
+noise coefficients from measured traces, a :class:`PhaseTrace`, via
+second-difference statistics (:mod:`oscnoise.allan`).  ``oscnoise.cli``
+exposes all of it as a command-line tool and owns the trace file format
+(``read_trace``, ``write_trace``); the library does not import it, so it
+is loaded on first use of one of those names.
 """
 
-from . import allan, cli, entropy, fbm, leakage, specfun, spectrum
-from .allan import AllanCurve, FitResult
-from .cli import PhaseTrace, read_trace, write_trace
+import importlib
+
+from . import allan, entropy, fbm, leakage, specfun, spectrum
+from .allan import AllanCurve, FitResult, PhaseTrace
 from .entropy import SecurityReport, WrappedGaussian
 from .errors import (
     ConvergenceError,
@@ -61,3 +64,14 @@ __all__ = [
     "write_trace",
     "__version__",
 ]
+
+
+def __getattr__(name):
+    # importing cli eagerly would put it in sys.modules before
+    # ``python -m oscnoise.cli`` runs it, which runpy warns about; a plain
+    # ``from . import cli`` here would re-enter this hook through the
+    # import system's fromlist handling, so the submodule is imported by name
+    if name in ("cli", "read_trace", "write_trace"):
+        cli = importlib.import_module(f"{__name__}.cli")
+        return cli if name == "cli" else getattr(cli, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -10,24 +10,25 @@ with the H = 1 pole removable: the constant tends to 4 ln2 / pi there.
 Since second differences annihilate affine drift, the statistic isolates
 the stochastic phase, and fitting the measured curve against the white
 and flicker basis {2h, (4 ln2/pi) h^2} recovers the mixture coefficients
-from a raw trace.
+from a raw trace, a :class:`PhaseTrace`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 import scipy.optimize
 
-from .errors import DomainError, InsufficientDataError
+from .errors import DomainError, InsufficientDataError, TraceFormatError
 from .fbm import _as_hurst
 
 __all__ = [
     "AllanCurve",
     "FitResult",
+    "PhaseTrace",
     "avar_constant",
     "diff_covariance",
     "estimate",
@@ -40,6 +41,34 @@ _C_FLICKER = 4.0 * math.log(2.0) / math.pi
 _C1_AT_1 = math.log(2.0) - 2.0 * 0.9227843350984671  # ln2 - 2 psi(3)
 _C2_AT_1 = 1.5991790803600423
 _SERIES_WINDOW = 1e-6
+
+
+@dataclass(frozen=True)
+class PhaseTrace:
+    """Uniformly sampled phase observations.
+
+    ``dt`` is the sample interval (s), ``samples`` the phase values
+    (rad), ``f0`` an optional nominal oscillator frequency (Hz) used for
+    normalised Allan output, ``source`` free-form provenance metadata.
+    """
+
+    dt: float
+    samples: np.ndarray = field(repr=False)
+    f0: float | None = None
+    source: str = ""
+
+    def __post_init__(self):
+        samples = np.asarray(self.samples, dtype=float)
+        object.__setattr__(self, "samples", samples)
+        if not (self.dt > 0 and math.isfinite(self.dt)):
+            raise TraceFormatError(f"dt must be positive, got {self.dt}")
+        if self.f0 is not None and not (self.f0 > 0 and math.isfinite(self.f0)):
+            raise TraceFormatError(f"f0 must be positive, got {self.f0}")
+        if samples.ndim != 1 or samples.size < 3:
+            raise TraceFormatError("trace needs at least 3 samples")
+        bad = np.flatnonzero(~np.isfinite(samples))
+        if bad.size:
+            raise TraceFormatError(f"non-finite sample at index {bad[0]}")
 
 
 @dataclass(frozen=True)
@@ -138,14 +167,14 @@ def diff_covariance(
     return total
 
 
-def estimate(trace, lags: Sequence[int]) -> AllanCurve:
+def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     """Overlapping second-difference variance of a phase trace.
 
-    ``trace`` is a :class:`oscnoise.cli.PhaseTrace`.  For each integer
-    lag m, all overlapping differences x[n+2m] - 2 x[n+m] + x[n] are
-    squared and averaged; the model is zero-mean after differencing, so
-    no mean is subtracted (the per-lag mean is reported as a diagnostic
-    instead).  Affine drift 2 pi f0 t + phi0 is annihilated exactly.
+    For each integer lag m, all overlapping differences
+    x[n+2m] - 2 x[n+m] + x[n] are squared and averaged; the model is
+    zero-mean after differencing, so no mean is subtracted (the per-lag
+    mean is reported as a diagnostic instead).  Affine drift
+    2 pi f0 t + phi0 is annihilated exactly.
     """
     x = np.asarray(trace.samples, dtype=float)
     ms = [int(m) for m in lags]

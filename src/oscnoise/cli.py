@@ -18,46 +18,18 @@ import json
 import math
 import sys
 import warnings
-from dataclasses import dataclass, field
 from typing import NoReturn
 
 import numpy as np
 
-from . import allan, entropy, fbm, leakage, spectrum
+from . import allan, entropy, fbm, spectrum
+from .allan import PhaseTrace
 from .errors import DomainError, OscNoiseError, TraceFormatError
 from .fbm import NoiseMixture, OscillatorConfig, TimeGrid
 
 __all__ = ["PhaseTrace", "dispatch", "main", "read_trace", "write_trace"]
 
 _WRITE_BLOCK = 1 << 16  # samples formatted per write in write_trace
-
-
-@dataclass(frozen=True)
-class PhaseTrace:
-    """Uniformly sampled phase observations.
-
-    ``dt`` is the sample interval (s), ``samples`` the phase values
-    (rad), ``f0`` an optional nominal oscillator frequency (Hz) used for
-    normalised Allan output, ``source`` free-form provenance metadata.
-    """
-
-    dt: float
-    samples: np.ndarray = field(repr=False)
-    f0: float | None = None
-    source: str = ""
-
-    def __post_init__(self):
-        samples = np.asarray(self.samples, dtype=float)
-        object.__setattr__(self, "samples", samples)
-        if not (self.dt > 0 and math.isfinite(self.dt)):
-            raise TraceFormatError(f"dt must be positive, got {self.dt}")
-        if self.f0 is not None and not (self.f0 > 0 and math.isfinite(self.f0)):
-            raise TraceFormatError(f"f0 must be positive, got {self.f0}")
-        if samples.ndim != 1 or samples.size < 3:
-            raise TraceFormatError("trace needs at least 3 samples")
-        bad = np.flatnonzero(~np.isfinite(samples))
-        if bad.size:
-            raise TraceFormatError(f"non-finite sample at index {bad[0]}")
 
 
 def _parse_header(line: str) -> dict[str, str]:
@@ -222,17 +194,13 @@ def _parse_lags(spec: str) -> list[int]:
     return lags
 
 
-def _emit_json(payload: dict, out: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _json(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True)
 
 
-def _emit_lines(lines: list[str], out: str | None) -> None:
-    text = "\n".join(lines) + "\n"
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` and a final newline to the file ``out``, or to stdout."""
+    text += "\n"
     if out:
         with open(out, "w", encoding="ascii") as fh:
             fh.write(text)
@@ -274,7 +242,7 @@ def _cmd_simulate(args) -> int:
     ]
     # one row at a time, so no Python float exists for the whole matrix
     lines += [",".join(map(repr, row.tolist())) for row in paths]
-    _emit_lines(lines, args.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
@@ -289,7 +257,7 @@ def _cmd_covariance(args) -> int:
     }
     if args.s > 0 and args.t > 0:
         payload["correlation"] = fbm.correlation(args.hurst, args.s, args.t)
-    _emit_json(payload, args.out)
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -310,33 +278,33 @@ def _cmd_spectrum(args) -> int:
         else:
             pt = spectrum.instantaneous(args.hurst, args.time, float(om))
         lines.append(f"{pt.omega!r},{pt.value!r},{pt.branch}")
-    _emit_lines(lines, args.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_leakage(args) -> int:
     mix = _mixture_from_args(args)
+    parts = fbm.component_variances(mix, args.gap)
+    if not args.gap > 0:
+        # fbm rejects negative and non-finite times but not t = 0
+        raise DomainError(f"gap must be positive, got {args.gap}")
+    variance = sum(parts)
     components = [
-        {
-            "hurst": hurst.h,
-            "coeff": coeff,
-            "contribution": coeff * coeff * fbm.variance(hurst, args.gap),
-        }
-        for hurst, coeff in mix.components
+        {"hurst": hurst.h, "coeff": coeff, "contribution": part}
+        for (hurst, coeff), part in zip(mix.components, parts)
     ]
-    variance = leakage.conditional_variance(mix, args.gap)
     if args.csv:
         lines = ["hurst,coeff,contribution"]
         lines += [
             f"{c['hurst']!r},{c['coeff']!r},{c['contribution']!r}" for c in components
         ]
         lines.append(f"total,,{variance!r}")
-        _emit_lines(lines, args.out)
+        _emit("\n".join(lines), args.out)
     else:
-        _emit_json(
-            {"gap_tau": args.gap, "conditional_variance": variance, "components": components},
-            args.out,
-        )
+        payload = {
+            "gap_tau": args.gap, "conditional_variance": variance, "components": components
+        }
+        _emit(_json(payload), args.out)
     return 0
 
 
@@ -363,8 +331,8 @@ def _cmd_entropy(args) -> int:
             f"{float(s2)!r},{float(b)!r},{float(e)!r}"
             for s2, b, e in zip(grid, biases, entr)
         ]
-        _emit_lines(lines, args.curves)
-    _emit_json(_report_payload(report), args.out)
+        _emit("\n".join(lines), args.curves)
+    _emit(_json(_report_payload(report)), args.out)
     return 0
 
 
@@ -373,16 +341,13 @@ def _cmd_bandwidth(args) -> int:
     dt = entropy.solve_min_dt(mix, args.alpha, args.target, dt_min=args.dt_min)
     osc = OscillatorConfig(f0=args.f0, duty_alpha=args.alpha, phi0=0.0, dt=dt)
     report = entropy.bandwidth_report(mix, osc)
-    _emit_json({"dt": dt, "target": args.target, "report": _report_payload(report)}, args.out)
+    payload = {"dt": dt, "target": args.target, "report": _report_payload(report)}
+    _emit(_json(payload), args.out)
     return 0
 
 
-def _load_trace_args(args) -> PhaseTrace:
-    return read_trace(args.infile, fmt=args.format, dt=args.dt, f0=args.f0)
-
-
 def _cmd_avar(args) -> int:
-    trace = _load_trace_args(args)
+    trace = read_trace(args.infile, fmt=args.format, dt=args.dt, f0=args.f0)
     curve = allan.estimate(trace, _parse_lags(args.lags))
     lines = ["lag_s,var,var_normalized,count"]
     for lag, var, cnt in zip(curve.lags, curve.variances, curve.counts):
@@ -394,25 +359,23 @@ def _cmd_avar(args) -> int:
         else:
             norm_txt = "nan"
         lines.append(f"{lag!r},{var!r},{norm_txt},{int(cnt)}")
-    _emit_lines(lines, args.out)
+    _emit("\n".join(lines), args.out)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    trace = _load_trace_args(args)
+    trace = read_trace(args.infile, fmt=args.format, dt=args.dt, f0=args.f0)
     curve = allan.estimate(trace, _parse_lags(args.lags))
     fit = allan.fit_mixture(curve, log_space=args.log_space)
-    _emit_json(
-        {
-            "c_white": fit.c_white,
-            "c_flicker": fit.c_flicker,
-            "residual_norm": fit.residual_norm,
-            "covariance_of_fit": [[float(v) for v in row] for row in fit.covariance_of_fit],
-            "n_lags": int(curve.lags.size),
-            "max_abs_d2_mean": float(np.max(np.abs(curve.d2_means))),
-        },
-        args.out,
-    )
+    payload = {
+        "c_white": fit.c_white,
+        "c_flicker": fit.c_flicker,
+        "residual_norm": fit.residual_norm,
+        "covariance_of_fit": [[float(v) for v in row] for row in fit.covariance_of_fit],
+        "n_lags": int(curve.lags.size),
+        "max_abs_d2_mean": float(np.max(np.abs(curve.d2_means))),
+    }
+    _emit(_json(payload), args.out)
     return 0
 
 

@@ -139,20 +139,19 @@ def bandwidth_report(mix: NoiseMixture, osc: OscillatorConfig) -> SecurityReport
 
     Successive bits are separated by dt; conditioned on everything an
     attacker saw before, the leftover phase variance is the full-history
-    conditional variance at gap dt, which sets the bias and min-entropy.
+    conditional variance at gap dt, which sets the bias and min-entropy;
+    ``per_component`` is its split, ``fbm.component_variances``.
     """
-    per_component = tuple(
-        (hurst.h, coeff * coeff * fbm.variance(hurst, osc.dt))
-        for hurst, coeff in mix.components
-    )
-    sigma2 = leakage.conditional_variance(mix, osc.dt)
+    parts = fbm.component_variances(mix, osc.dt)
+    sigma2 = sum(parts)
     eps = bias(sigma2, osc.duty_alpha)
+    hursts = [hurst.h for hurst, _ in mix.components]
     return SecurityReport(
         sigma2=sigma2,
         duty_alpha=osc.duty_alpha,
         bias=eps,
         min_entropy_bits=_entropy_bits(eps),
-        per_component=per_component,
+        per_component=tuple(zip(hursts, parts)),
     )
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "covariance",
     "covariance_matrix",
     "cholesky_with_jitter",
+    "component_variances",
     "cross_covariance",
     "correlation",
     "mixture_variance",
@@ -158,7 +159,7 @@ def variance(h, t: float) -> float:
     return t ** (2.0 * h) / (2.0 * h * math.gamma(h + 0.5) ** 2)
 
 
-def cross_covariance(model, s, t, tol: specfun.Tolerance | None = None) -> np.ndarray:
+def cross_covariance(model, s, t) -> np.ndarray:
     """Elementwise Cov(phi_s, phi_t) of a HurstExponent (or float) or a
     NoiseMixture, in rad^2.
 
@@ -174,7 +175,7 @@ def cross_covariance(model, s, t, tol: specfun.Tolerance | None = None) -> np.nd
     if lo_min == 0.0:
         positive = lo > 0.0
         out = np.zeros(lo.shape)
-        out[positive] = cross_covariance(model, lo[positive], hi[positive], tol)
+        out[positive] = cross_covariance(model, lo[positive], hi[positive])
         return out
     if isinstance(model, NoiseMixture):
         parts = model.components
@@ -187,19 +188,19 @@ def cross_covariance(model, s, t, tol: specfun.Tolerance | None = None) -> np.nd
             h = hurst.h
             cov = lo ** (h + 0.5)
             cov *= hi ** (h - 0.5)
-            cov *= specfun.hyp2f1_curve(h, z, tol)
+            cov *= specfun.hyp2f1_curve(h, z)
             cov *= coeff * coeff * 2.0 / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
             out += cov
     return out
 
 
-def covariance(h, s: float, t: float, tol: specfun.Tolerance | None = None) -> float:
+def covariance(h, s: float, t: float) -> float:
     """Cov(phi^H_s, phi^H_t) in rad^2; symmetric in (s, t), zero when either
     time is zero."""
-    return float(cross_covariance(_as_hurst(h), s, t, tol))
+    return float(cross_covariance(_as_hurst(h), s, t))
 
 
-def correlation(h, s: float, t: float, tol: specfun.Tolerance | None = None) -> float:
+def correlation(h, s: float, t: float) -> float:
     """Cor(phi^H_s, phi^H_t); depends only on the ratio max/min and decays
     like (4H/(2H+1)) sqrt(s/t) as the ratio grows."""
     h = _as_hurst(h)
@@ -207,17 +208,24 @@ def correlation(h, s: float, t: float, tol: specfun.Tolerance | None = None) -> 
         raise DomainError(f"times must be positive, got ({s}, {t})")
     if s == t:
         return 1.0
-    return float(cross_covariance(h, s, t, tol)) / math.sqrt(
+    return float(cross_covariance(h, s, t)) / math.sqrt(
         variance(h, s) * variance(h, t)
     )
 
 
+def component_variances(mix: NoiseMixture, t: float) -> list[float]:
+    """c_H^2 Var(phi^H_t) of each component at time t, in rad^2, in the
+    order of ``mix.components``."""
+    return [c * c * variance(hurst, t) for hurst, c in mix.components]
+
+
 def mixture_variance(mix: NoiseMixture, t: float) -> float:
-    """Variance of the mixture at time t: sum of c_H^2 Var(phi^H_t)."""
-    return sum(c * c * variance(hurst, t) for hurst, c in mix.components)
+    """Variance of the mixture at time t: the sum of its
+    ``component_variances``, in component order."""
+    return sum(component_variances(mix, t))
 
 
-def covariance_matrix(model, grid: TimeGrid, tol: specfun.Tolerance | None = None) -> np.ndarray:
+def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     """Covariance matrix of a HurstExponent or NoiseMixture on a grid.
 
     Only the n(n+1)/2 pairs of the upper triangle are evaluated; the lower
@@ -227,7 +235,7 @@ def covariance_matrix(model, grid: TimeGrid, tol: specfun.Tolerance | None = Non
     n = ts.size
     rows = np.repeat(ts, np.arange(n, 0, -1))
     cols = np.concatenate([ts[r:] for r in range(n)])
-    upper = cross_covariance(model, rows, cols, tol)
+    upper = cross_covariance(model, rows, cols)
     K = np.empty((n, n))
     start = 0
     for r in range(n):
@@ -259,13 +267,7 @@ def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:
                 ) from None
 
 
-def simulate(
-    model,
-    grid: TimeGrid,
-    n_paths: int,
-    seed: int,
-    tol: specfun.Tolerance | None = None,
-) -> np.ndarray:
+def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     """Exact zero-mean Gaussian paths on a grid, shape (len(grid), n_paths).
 
     ``model`` is a HurstExponent (or float) or a NoiseMixture; mixtures
@@ -274,7 +276,7 @@ def simulate(
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    K = covariance_matrix(model, grid, tol)
+    K = covariance_matrix(model, grid)
     L = cholesky_with_jitter(K)
     rng = np.random.default_rng(seed)
     return L @ rng.standard_normal((len(grid), n_paths))

@@ -44,9 +44,6 @@ __all__ = [
     "Tolerance",
     "Hyp1F2Result",
     "default_tolerance",
-    "gamma",
-    "gaussian_cdf",
-    "gaussian_pdf",
     "hyp1f2",
     "hyp2f1_restricted",
     "theta3",
@@ -150,30 +147,6 @@ def _env_number(name: str, kind, default):
         return kind(text)
     except ValueError:
         raise DomainError(f"{name}={text!r} is not a valid {kind.__name__}") from None
-
-
-def gamma(x: float) -> float:
-    """Gamma function on the positive half line.
-
-    Negative arguments never occur in the model's formulas, so they are
-    rejected rather than handled through reflection.
-    """
-    if not (x > 0 and math.isfinite(x)):
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
-
-
-def gaussian_pdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    u = (x - mu) / sigma
-    return math.exp(-0.5 * u * u) / (sigma * _SQRT_2PI)
-
-
-def gaussian_cdf(x: float, mu: float = 0.0, sigma: float = 1.0) -> float:
-    if sigma <= 0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
-    return 0.5 * (1.0 + math.erf((x - mu) / (sigma * math.sqrt(2.0))))
 
 
 # ---------------------------------------------------------------------------

@@ -44,9 +44,7 @@ class SpectrumPoint:
     branch: str
 
 
-def instantaneous(
-    h, t: float, omega: float, tol: specfun.Tolerance | None = None
-) -> SpectrumPoint:
+def instantaneous(h, t: float, omega: float) -> SpectrumPoint:
     """Instantaneous spectrum of a single component at time t.
 
     S(t, omega) = 2^(2H+1) t^(2H+1) 1F2(H+1/2; H+1, H+3/2; -(t omega)^2)
@@ -56,16 +54,14 @@ def instantaneous(
     if t <= 0 or omega <= 0:
         raise DomainError(f"t and omega must be positive, got ({t}, {omega})")
     x = t * omega
-    res = specfun.hyp1f2(h + 0.5, h + 1.0, h + 1.5, -x * x, tol)
+    res = specfun.hyp1f2(h + 0.5, h + 1.0, h + 1.5, -x * x)
     value = 2.0 ** (2.0 * h + 1.0) * t ** (2.0 * h + 1.0) * res.value / math.gamma(
         2.0 * h + 2.0
     )
     return SpectrumPoint(omega, value, res.branch)
 
 
-def time_averaged(
-    h, T: float, omega: float, tol: specfun.Tolerance | None = None
-) -> SpectrumPoint:
+def time_averaged(h, T: float, omega: float) -> SpectrumPoint:
     """Running time average (1/T) integral of the instantaneous spectrum.
 
     Closed form with the shifted parameter triple:
@@ -80,7 +76,7 @@ def time_averaged(
     if T <= 0 or omega <= 0:
         raise DomainError(f"T and omega must be positive, got ({T}, {omega})")
     x = T * omega
-    res = specfun.hyp1f2(h + 0.5, h + 1.5, h + 2.0, -x * x, tol)
+    res = specfun.hyp1f2(h + 0.5, h + 1.5, h + 2.0, -x * x)
     value = 2.0 ** (2.0 * h + 1.0) * T ** (2.0 * h + 1.0) * res.value / math.gamma(
         2.0 * h + 3.0
     )

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from oscnoise import allan, fbm
-from oscnoise.allan import AllanCurve
-from oscnoise.cli import PhaseTrace
+from oscnoise.allan import AllanCurve, PhaseTrace
 from oscnoise.errors import DomainError, InsufficientDataError
 from oscnoise.fbm import NoiseMixture
 

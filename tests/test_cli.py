@@ -7,10 +7,46 @@ import sys
 import numpy as np
 import pytest
 
-from oscnoise import cli, entropy, fbm
+import oscnoise
+from oscnoise import allan, cli, entropy, fbm
 from oscnoise.cli import PhaseTrace, dispatch, read_trace, write_trace
 from oscnoise.errors import TraceFormatError
 from oscnoise.fbm import NoiseMixture, OscillatorConfig
+
+
+def _run_python(args, cwd):
+    # a fresh interpreter that imports this checkout's oscnoise
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+    )
+
+
+class TestPackageLayout:
+    def test_module_run_does_not_warn(self, tmp_path):
+        proc = _run_python(
+            "-W error::RuntimeWarning -m oscnoise.cli covariance --hurst 1 --s 1 --t 2".split(),
+            tmp_path,
+        )
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["covariance"] > 0
+
+    def test_package_import_leaves_cli_unloaded(self, tmp_path):
+        proc = _run_python(
+            ["-c", "import sys, oscnoise; print('oscnoise.cli' in sys.modules)"], tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["False"]
+
+    def test_exports(self):
+        assert oscnoise.read_trace is oscnoise.cli.read_trace
+        assert oscnoise.write_trace is cli.write_trace
+        assert oscnoise.PhaseTrace is allan.PhaseTrace is PhaseTrace
+        with pytest.raises(AttributeError):
+            oscnoise.no_such_name
 
 
 class TestPhaseTrace:
@@ -235,13 +271,7 @@ class TestDispatch:
             "                 '--out', sys.argv[1]])\n"
             "print(code, 'mpmath' in sys.modules)\n"
         )
-        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        env = dict(os.environ, PYTHONPATH=path)
-        proc = subprocess.run(
-            [sys.executable, "-c", script, str(out)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
+        proc = _run_python(["-c", script, str(out)], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["0", "False"]
         branches = [row.split(",")[2] for row in out.read_text().splitlines()[1:]]

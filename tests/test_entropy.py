@@ -232,6 +232,27 @@ class TestBandwidthReport:
             prev = ent
 
 
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            [(0.5, 1.0), (1.0, 0.5)],
+            [(0.3, 2.0), (0.5, 1e-3), (1.0, 0.7), (1.4, 0.05)],
+            [(1.2, 3.0), (0.7, 0.0), (0.1, 0.9)],
+        ],
+    )
+    def test_per_component_is_the_variance_split(self, pairs):
+        mix = NoiseMixture.from_pairs(pairs)
+        for dt in (1e-6, 0.37, 250.0):
+            parts = fbm.component_variances(mix, dt)
+            assert len(parts) == len(pairs)
+            assert sum(parts) == fbm.mixture_variance(mix, dt)  # bit for bit
+            rep = entropy.bandwidth_report(
+                mix, OscillatorConfig(f0=1.0, duty_alpha=0.4, phi0=0.0, dt=dt)
+            )
+            assert rep.per_component == tuple(zip([h for h, _ in pairs], parts))
+            assert rep.sigma2 == leakage.conditional_variance(mix, dt)
+
+
 class TestSolveMinDt:
     def test_degenerate_target(self):
         mix = NoiseMixture.single(0.5)

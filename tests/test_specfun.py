@@ -44,23 +44,6 @@ class TestTolerance:
             specfun.default_tolerance()
 
 
-class TestGamma:
-    def test_known_values(self):
-        assert specfun.gamma(1.0) == 1.0
-        assert specfun.gamma(1.5) == pytest.approx(math.sqrt(math.pi) / 2, rel=1e-14)
-        assert specfun.gamma(2.0) == 1.0  # Gamma(2H+1) at H = 1/2
-
-    def test_recurrence(self):
-        for x in np.linspace(0.1, 10.0, 34):
-            lhs = specfun.gamma(x + 1.0)
-            assert abs(lhs - x * specfun.gamma(x)) / lhs < 1e-12
-
-    @pytest.mark.parametrize("x", [0.0, -1.0, -0.5, math.inf, math.nan])
-    def test_domain(self, x):
-        with pytest.raises(DomainError):
-            specfun.gamma(x)
-
-
 class TestHyp2F1:
     def test_h_half_is_one(self):
         for z in [0.0, 0.3, 0.8, 0.97, 1.0]:
@@ -326,16 +309,3 @@ class TestTheta3:
     def test_domain(self, q):
         with pytest.raises(DomainError):
             specfun.theta3(0.0, q)
-
-
-class TestGaussian:
-    def test_pdf_peak(self):
-        assert specfun.gaussian_pdf(0.0) == pytest.approx(1 / math.sqrt(2 * math.pi))
-
-    def test_cdf_symmetry(self):
-        assert specfun.gaussian_cdf(0.0) == 0.5
-        assert specfun.gaussian_cdf(1.3, mu=1.3, sigma=2.0) == 0.5
-
-    def test_bad_sigma(self):
-        with pytest.raises(DomainError):
-            specfun.gaussian_pdf(0.0, sigma=0.0)
