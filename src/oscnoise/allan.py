@@ -11,6 +11,12 @@ Since second differences annihilate affine drift, the statistic isolates
 the stochastic phase, and fitting the measured curve against the white
 and flicker basis {2h, (4 ln2/pi) h^2} recovers the mixture coefficients
 from a raw trace, a :class:`PhaseTrace`.
+
+:func:`estimate` measures the curve at every lag from one FFT
+autocorrelation of the trace's increments, centred so that drift never
+enters a sum of squares, with exact corrections for the windows cut off
+by the trace ends; its cost is one FFT plus O(m) per lag m, and a
+variance that rounding pushes below zero is clamped to 0.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.fft
 import scipy.optimize
 
 from .errors import DomainError, InsufficientDataError, TraceFormatError
@@ -170,11 +177,31 @@ def diff_covariance(
 def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     """Overlapping second-difference variance of a phase trace.
 
-    For each integer lag m, all overlapping differences
-    x[n+2m] - 2 x[n+m] + x[n] are squared and averaged; the model is
-    zero-mean after differencing, so no mean is subtracted (the per-lag
-    mean is reported as a diagnostic instead).  Affine drift
-    2 pi f0 t + phi0 is annihilated exactly.
+    For each integer lag m, the mean square of all N - 2m overlapping
+    differences d_n = x[n+2m] - 2 x[n+m] + x[n]; the model is zero-mean
+    after differencing, so no mean is subtracted (the per-lag mean is
+    reported as a diagnostic instead).  Affine drift 2 pi f0 t + phi0 is
+    annihilated exactly.
+
+    All lags come from one autocorrelation R of the increments
+    y = diff(x).  With w = (-1) * m then (+1) * m, d_n = sum_i w_i y[n+i],
+    which no constant in y changes, so y is centred first: that removes
+    affine drift exactly before anything is squared, where sums over x
+    itself would cancel (x^2 reaches 1e11 for flicker at 1e6 samples).
+    Summed over every window position that overlaps y, with y taken as
+    zero outside it,
+
+        sum d^2 = 2m R(0) + sum_{0<k<2m} c_m(k) R(k),
+        c_m(k) = 2 (2 max(m - k, 0) - min(k, 2m - k)),
+
+    and R comes from one real FFT of length at least len(y) + 2 max(lags).
+    The 2(2m - 1) partial windows at the two ends are summed from prefix
+    sums of the first and last 2 max(lags) increments, and their squares
+    are subtracted.  The sum over all windows is (sum w)(sum y) = 0, so
+    the sum of the d_n is minus that of the partial windows.  Rounding
+    can leave a near-constant trace's variance just below zero; it is
+    clamped to 0.  Cost: one FFT of the trace plus O(m) per lag m, so it
+    barely grows with the number of lags.
     """
     x = np.asarray(trace.samples, dtype=float)
     ms = [int(m) for m in lags]
@@ -188,17 +215,44 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
             f"trace of {x.size} samples cannot support lag {mmax} "
             f"(needs {2 * mmax + 1})"
         )
-    variances, counts, means = [], [], []
-    for m in ms:
-        d = x[2 * m :] - 2.0 * x[m : x.size - m] + x[: x.size - 2 * m]
-        variances.append(float(np.mean(d * d)))
-        counts.append(d.size)
-        means.append(float(np.mean(d)))
+    span = 2 * mmax
+    # the increments, written straight into the zero-padded FFT input
+    size = scipy.fft.next_fast_len(x.size - 1 + span, real=True)
+    padded = np.zeros(size)
+    y = padded[: x.size - 1]
+    np.subtract(x[1:], x[:-1], out=y)
+    y -= y.mean()
+    # prefix sums of the first and of the last (reversed) span increments
+    head = np.concatenate(([0.0], np.cumsum(y[:span])))
+    tail = np.concatenate(([0.0], np.cumsum(y[: -span - 1 : -1])))
+    # numpy's FFT: scipy.fft left about 17 MB resident after a 1e6-sample call
+    spec = np.fft.rfft(padded)
+    del padded, y
+    # |Y|^2 in place: square the (re, im) pairs, add, zero the imaginary part
+    pairs = spec.view(float)
+    np.square(pairs, out=pairs)
+    pairs[0::2] += pairs[1::2]
+    pairs[1::2] = 0.0
+    acf = np.fft.irfft(spec, size)[:span].copy()
+
+    counts = x.size - 2 * np.array(ms, dtype=np.int64)
+    variances, means = np.empty(len(ms)), np.empty(len(ms))
+    for i, m in enumerate(ms):
+        k = np.arange(1, 2 * m)
+        below = np.maximum(m - k, 0)
+        weights = 2.0 * (2.0 * below - np.minimum(k, 2 * m - k))
+        # sums of the windows cut to 2m - k increments at the start, k at the end
+        starts = head[2 * m - k] - 2.0 * head[below]
+        ends = 2.0 * tail[np.maximum(k - m, 0)] - tail[k]
+        total = 2.0 * m * acf[0] + weights @ acf[1 : 2 * m]
+        total -= starts @ starts + ends @ ends
+        variances[i] = max(total, 0.0) / counts[i]
+        means[i] = -(starts.sum() + ends.sum()) / counts[i]
     return AllanCurve(
         lags=np.array(ms, dtype=float) * trace.dt,
-        variances=np.array(variances),
-        counts=np.array(counts, dtype=np.int64),
-        d2_means=np.array(means),
+        variances=variances,
+        counts=counts,
+        d2_means=means,
     )
 
 

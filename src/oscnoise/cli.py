@@ -85,8 +85,16 @@ def read_trace(
     header is the first ``#`` line with ``key=value`` fields before the
     first sample; the samples are parsed in one ``np.loadtxt`` call,
     which rounds correctly, so ``write_trace`` output reads back
-    bit-exactly.  Blank lines and ``#`` comment lines are skipped.
+    bit-exactly.  Blank lines and ``#`` comment lines are skipped.  A
+    file that cannot be opened is a ``TraceFormatError`` too.
     """
+    try:
+        return _read_trace(path, fmt, dt, f0)
+    except OSError as exc:
+        raise TraceFormatError(f"{path}: {exc.strerror or exc}") from None
+
+
+def _read_trace(path: str, fmt: str, dt: float | None, f0: float | None) -> PhaseTrace:
     if fmt == "raw_f64_le":
         if dt is None:
             raise TraceFormatError("raw traces need an explicit dt")
@@ -127,16 +135,20 @@ def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
     if fmt != "csv":
         raise TraceFormatError(f"unknown trace format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:
-        header = f"# dt={trace.dt!r}"
-        if trace.f0 is not None:
-            header += f" f0={trace.f0!r}"
-        fh.write(header + "\n")
-        if trace.source:
-            fh.write(f"# {trace.source}\n")
-        # in blocks, so the Python strings of a long trace never all exist
-        for start in range(0, trace.samples.size, _WRITE_BLOCK):
-            block = trace.samples[start : start + _WRITE_BLOCK].tolist()
-            fh.write("\n".join(map(repr, block)) + "\n")
+        _write_csv(trace, fh)
+
+
+def _write_csv(trace: PhaseTrace, fh) -> None:
+    header = f"# dt={trace.dt!r}"
+    if trace.f0 is not None:
+        header += f" f0={trace.f0!r}"
+    fh.write(header + "\n")
+    if trace.source:
+        fh.write(f"# {trace.source}\n")
+    # in blocks, so the Python strings of a long trace never all exist
+    for start in range(0, trace.samples.size, _WRITE_BLOCK):
+        block = trace.samples[start : start + _WRITE_BLOCK].tolist()
+        fh.write("\n".join(map(repr, block)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -227,7 +239,10 @@ def _cmd_simulate(args) -> int:
             f0=args.f0,
             source=f"rng={fbm.RNG_ALGORITHM} seed={args.seed}",
         )
-        write_trace(trace, args.out)
+        if args.out:
+            write_trace(trace, args.out)
+        else:
+            _write_csv(trace, sys.stdout)
         return 0
     if args.t0 is None or args.t1 is None or args.n is None:
         raise DomainError("grid mode needs --t0, --t1 and --n (or use --samples)")

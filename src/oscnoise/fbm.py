@@ -321,9 +321,11 @@ def simulate_trace(
     direct discretisation of the defining fractional integral.  The
     marginal variance of every sample is exact by construction; second
     difference statistics at analysis lag m carry a relative bias that
-    shrinks like 1/(oversample * m) (about -1.5% at m = 1 for H = 1 with
-    the default oversampling, and exact for H = 1/2, which bypasses the
-    moving average entirely).
+    depends only on oversample * m and falls roughly like
+    (oversample * m)^-1.4 at H = 1 and (oversample * m)^-0.8 at H = 0.3
+    (-1.49% at m = 1 for H = 1 with the default oversampling, -1.0% for
+    H = 0.3; none for H = 1/2, which bypasses the moving average
+    entirely).
 
     Only the kept samples of the fine-grid moving average are computed:
     the sum is split into ``oversample`` polyphase convolutions of length

@@ -8,6 +8,8 @@ from oscnoise.allan import AllanCurve, PhaseTrace
 from oscnoise.errors import DomainError, InsufficientDataError
 from oscnoise.fbm import NoiseMixture
 
+import _oracles
+
 C_WHITE = 2.0
 C_FLICKER = 4.0 * math.log(2.0) / math.pi
 
@@ -182,6 +184,79 @@ class TestEstimate:
             devs.append(abs(mean / theory - 1.0))
         assert devs[1] < devs[0]
         assert devs[0] < 0.01  # already a sub-percent effect at these scales
+
+
+MIXES = {
+    "H=0.3": NoiseMixture.single(0.3),
+    "H=0.5": NoiseMixture.single(0.5),
+    "H=1": NoiseMixture.single(1.0),
+    "H=1.25": NoiseMixture.single(1.25),
+    "white+flicker": NoiseMixture.white_flicker(1.0, 0.5),
+}
+
+
+def _assert_matches_loop(trace, lags):
+    got = allan.estimate(trace, lags)
+    ref = _oracles.allan_loop_estimate(trace, lags)
+    np.testing.assert_array_equal(got.lags, ref.lags)
+    np.testing.assert_array_equal(got.counts, ref.counts)
+    np.testing.assert_allclose(got.variances, ref.variances, rtol=1e-12, atol=0.0)
+    # the loop sums x-sized terms; 1e-12 of the largest lag's spread covers
+    # both roundings (measured differences are below 1e-14 of it)
+    scale = math.sqrt(ref.variances.max())
+    np.testing.assert_allclose(got.d2_means, ref.d2_means, rtol=0.0, atol=1e-12 * scale)
+    return got
+
+
+class TestEstimateMatchesLoop:
+    @pytest.mark.parametrize("name", sorted(MIXES))
+    @pytest.mark.parametrize(
+        "n,lags",
+        [(50_000, list(range(1, 101))), (20_000, [1, 2, 5, 1000]), (202, list(range(1, 101)))],
+        ids=["dense", "sparse", "two-windows-at-mmax"],
+    )
+    def test_matches_per_lag_loop(self, name, n, lags):
+        x = fbm.simulate_trace(MIXES[name], n, 1.0, seed=13)
+        _assert_matches_loop(PhaseTrace(dt=1.0, samples=x), lags)
+
+    def test_one_window_at_mmax_rejected_alike(self):
+        # N = 2 mmax + 1 leaves one difference at mmax; AllanCurve needs two
+        trace = PhaseTrace(dt=1.0, samples=np.random.default_rng(4).standard_normal(201))
+        for estimator in (allan.estimate, _oracles.allan_loop_estimate):
+            with pytest.raises(DomainError, match="at least 2"):
+                estimator(trace, range(1, 101))
+
+    def test_large_drift_matches_drift_free_twin(self):
+        # 2 pi 1e8 t at dt = 1e-3 puts x near 1.3e11, where an ulp is 1.5e-5
+        # against second differences of about 0.045; that input rounding,
+        # the same for any estimator, is what the twin tolerances allow for
+        n, dt = 200_000, 1e-3
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        x = fbm.simulate_trace(mix, n, dt, seed=9)
+        drifted = x + 2.0 * math.pi * 1e8 * dt * np.arange(n)
+        lags = list(range(1, 101))
+        twin = allan.estimate(PhaseTrace(dt=dt, samples=x), lags)
+        got = _assert_matches_loop(PhaseTrace(dt=dt, samples=drifted), lags)
+        np.testing.assert_allclose(got.variances, twin.variances, rtol=1e-5)
+        np.testing.assert_allclose(got.d2_means, twin.d2_means, rtol=0.0, atol=1e-8)
+
+    @pytest.mark.parametrize(
+        "x",
+        [
+            2.2 + np.random.default_rng(5).integers(-1, 2, 1000) * np.spacing(2.2),
+            1e8 + 2.0 * math.pi * 1e3 * np.arange(1000),
+            np.cumsum(np.full(999, 0.1)),
+        ],
+        ids=["ulp-noise", "steep-ramp", "summed-ramp"],
+    )
+    def test_near_constant_trace_nonnegative(self, x):
+        trace, lags = PhaseTrace(dt=1.0, samples=x), [1, 2, 5, 10, 50, 100]
+        curve = allan.estimate(trace, lags)
+        assert np.all(curve.variances >= 0.0)
+        ref = _oracles.allan_loop_estimate(trace, lags)
+        # both are rounding noise of x: compare on the scale of an ulp of x
+        atol = (16 * np.spacing(np.abs(x).max())) ** 2
+        np.testing.assert_allclose(curve.variances, ref.variances, rtol=0.0, atol=atol)
 
 
 class TestFitMixture:

@@ -246,6 +246,30 @@ class TestDispatch:
         ref = fbm.simulate_trace(NoiseMixture.white_flicker(1.0, 0.5), 64, 1.0, seed=11)
         np.testing.assert_array_equal(trace.samples, ref)
 
+    def test_simulate_trace_stdout_matches_out_file(self, tmp_path, capsysbinary):
+        argv = "simulate --c-white 1 --c-flicker 0.5 --samples 5000 --dt 0.001 --seed 3".split()
+        out = tmp_path / "trace.csv"
+        assert dispatch(argv + ["--out", str(out)]) == 0
+        capsysbinary.readouterr()
+        assert dispatch(argv) == 0
+        captured = capsysbinary.readouterr()
+        assert captured.out == out.read_bytes()
+        assert captured.err == b""
+
+    @pytest.mark.parametrize("command", ["avar", "calibrate"])
+    @pytest.mark.parametrize("fmt", ["csv", "raw_f64_le"])
+    def test_missing_trace_file_exit_one(self, tmp_path, capsys, command, fmt):
+        missing = str(tmp_path / "missing.csv")
+        argv = [command, "--in", missing, "--format", fmt, "--dt", "1", "--lags", "1:10"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oscnoise: error: ")
+        assert missing in captured.err and captured.out == ""
+
+    def test_read_trace_missing_file(self, tmp_path):
+        with pytest.raises(TraceFormatError, match="No such file"):
+            read_trace(str(tmp_path / "missing.csv"))
+
     def test_spectrum_csv(self, capsys):
         code = dispatch(
             "spectrum --hurst 0.75 --avg-time 1.0 --omega-min 100 --omega-max 1000 "

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oscnoise import fbm
+from oscnoise import allan, fbm
 from oscnoise.errors import DecompositionError, DomainError
 from oscnoise.fbm import HurstExponent, NoiseMixture, OscillatorConfig, TimeGrid
 
@@ -345,6 +345,25 @@ class TestSimulateTrace:
         )
         expected = fbm.variance(1.0, 64.0)
         assert np.var(vals) == pytest.approx(expected, rel=4.0 / math.sqrt(reps))
+
+    @staticmethod
+    def _d2_bias(h, o, m):
+        # exact relative bias of the generator's second-difference variance
+        exact = _oracles.ma_d2_variance_exact(h, o, m)
+        return exact / (allan.avar_constant(h) * m ** (2.0 * h)) - 1.0
+
+    def test_lag_one_bias_at_default_oversample(self):
+        assert self._d2_bias(1.0, 8, 1) == pytest.approx(-0.0149, abs=1e-4)
+
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
+    def test_bias_depends_only_on_oversample_times_lag(self, h):
+        assert self._d2_bias(h, 4, 2) == pytest.approx(self._d2_bias(h, 8, 1), rel=1e-9)
+
+    @pytest.mark.parametrize("h,slope", [(0.3, -0.8), (1.0, -1.4)])
+    def test_bias_power_law_in_oversample_times_lag(self, h, slope):
+        # the rate the simulate_trace docstring states, over o*m = 16 .. 64
+        got = math.log(self._d2_bias(h, 8, 8) / self._d2_bias(h, 8, 2)) / math.log(4.0)
+        assert got == pytest.approx(slope, abs=0.1)
 
     @pytest.mark.parametrize("oversample", [1, 3, 8])
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
