@@ -256,7 +256,7 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     )
 
 
-def fit_mixture(curve: AllanCurve, log_space: bool = False) -> FitResult:
+def fit_mixture(curve: AllanCurve) -> FitResult:
     """Recover (c_white, c_flicker) from a measured curve.
 
     Nonnegative least squares of the variances against the basis
@@ -270,40 +270,24 @@ def fit_mixture(curve: AllanCurve, log_space: bool = False) -> FitResult:
     the largest lags dominate and c_white is poorly pinned.  m is the lag
     in units of the smallest lag: exact for lags starting at one sample,
     otherwise a common scale that changes only ``residual_norm``.
-    ``log_space=True`` refits on log-variances, seeded from the linear
-    solution, with weights 1 / sqrt(4m / (3 count)): the same standard
-    errors, relative.  ``covariance_of_fit`` and ``residual_norm`` use
-    the weighted linear rows.
+    ``covariance_of_fit`` and ``residual_norm`` come from the same
+    weighted rows as the second fit.
     """
     lags = curve.lags
     if lags.size < 2 or lags[-1] / lags[0] < 10.0:
         raise DomainError("fit needs >= 2 lags spanning at least one decade")
     A = np.column_stack([2.0 * lags, _C_FLICKER * lags**2])
     counts = curve.counts.astype(float)
-    rel_se = np.sqrt(4.0 * (lags / lags[0]) / (3.0 * counts))
 
     w = np.sqrt(counts)
     weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
     if weights.any():
         # the model variance is positive at every lag once any weight is
+        rel_se = np.sqrt(4.0 * (lags / lags[0]) / (3.0 * counts))
         w = 1.0 / ((A @ weights) * rel_se)
         weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
     Aw = A * w[:, None]
-    yw = curve.variances * w
-
-    if log_space:
-        safe_floor = max(curve.variances.max() * 1e-300, 1e-300)
-
-        def resid(p):
-            model = A @ np.abs(p)
-            return (np.log(np.maximum(model, safe_floor))
-                    - np.log(np.maximum(curve.variances, safe_floor))) / rel_se
-
-        start = np.maximum(weights, 1e-12 * max(weights.max(), 1.0))
-        sol = scipy.optimize.least_squares(resid, start, method="lm")
-        weights = np.abs(sol.x)
-
-    res = Aw @ weights - yw
+    res = Aw @ weights - curve.variances * w
     dof = max(lags.size - 2, 1)
     gram = Aw.T @ Aw
     try:

@@ -14,6 +14,7 @@ raw format is little-endian float64 with dt/f0 supplied via flags.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -22,7 +23,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from . import allan, entropy, fbm, spectrum
+from . import allan, entropy, fbm, leakage, spectrum
 from .allan import PhaseTrace
 from .errors import DomainError, OscNoiseError, TraceFormatError
 from .fbm import NoiseMixture, OscillatorConfig, TimeGrid
@@ -128,14 +129,36 @@ def _read_trace(path: str, fmt: str, dt: float | None, f0: float | None) -> Phas
 
 
 def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
-    """Write a trace so that ``read_trace`` reproduces it bit-exactly."""
+    """Write a trace so that ``read_trace`` reproduces it bit-exactly.
+
+    A file that cannot be opened or written, a full device included,
+    raises ``OSError`` with ``filename`` set to ``path``.
+    """
     if fmt == "raw_f64_le":
-        trace.samples.astype("<f8").tofile(path)
+        with _output(path, "wb") as fh:
+            fh.write(trace.samples.astype("<f8"))
         return
     if fmt != "csv":
         raise TraceFormatError(f"unknown trace format {fmt!r}")
-    with open(path, "w", encoding="ascii") as fh:
+    with _output(path) as fh:
         _write_csv(trace, fh)
+
+
+@contextlib.contextmanager
+def _output(path: str | None, mode: str = "w"):
+    # the file at path, ASCII text or "wb", or stdout when path is empty.
+    # An OSError from opening, writing or closing it names the path, since
+    # a failed write (as on a full device) carries no file name.
+    try:
+        if not path:
+            yield sys.stdout
+            sys.stdout.flush()
+        else:
+            with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
+                yield fh
+    except OSError as exc:
+        exc.filename = path or "<stdout>"
+        raise
 
 
 def _write_csv(trace: PhaseTrace, fh) -> None:
@@ -213,11 +236,8 @@ def _json(payload: dict) -> str:
 def _emit(text: str, out: str | None) -> None:
     """Write ``text`` and a final newline to the file ``out``, or to stdout."""
     text += "\n"
-    if out:
-        with open(out, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +247,8 @@ def _emit(text: str, out: str | None) -> None:
 
 def _cmd_simulate(args) -> int:
     mix = _mixture_from_args(args)
+    if args.f0 is not None and not (args.f0 > 0 and math.isfinite(args.f0)):
+        raise DomainError(f"--f0 must be positive and finite, got {args.f0}")
     if args.samples is not None:
         if args.dt is None:
             raise DomainError("trace mode needs --dt")
@@ -242,7 +264,8 @@ def _cmd_simulate(args) -> int:
         if args.out:
             write_trace(trace, args.out)
         else:
-            _write_csv(trace, sys.stdout)
+            with _output(None) as fh:
+                _write_csv(trace, fh)
         return 0
     if args.t0 is None or args.t1 is None or args.n is None:
         raise DomainError("grid mode needs --t0, --t1 and --n (or use --samples)")
@@ -252,7 +275,7 @@ def _cmd_simulate(args) -> int:
     paths = fbm.simulate(mix, grid, args.paths, args.seed)
     dt = (args.t1 - args.t0) / (args.n - 1) if args.n > 1 else args.t1 - args.t0
     lines = [
-        f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 else ""),
+        f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 is not None else ""),
         f"# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={args.paths}",
     ]
     # one row at a time, so no Python float exists for the whole matrix
@@ -299,11 +322,8 @@ def _cmd_spectrum(args) -> int:
 
 def _cmd_leakage(args) -> int:
     mix = _mixture_from_args(args)
+    variance = leakage.conditional_variance(mix, args.gap)
     parts = fbm.component_variances(mix, args.gap)
-    if not args.gap > 0:
-        # fbm rejects negative and non-finite times but not t = 0
-        raise DomainError(f"gap must be positive, got {args.gap}")
-    variance = sum(parts)
     components = [
         {"hurst": hurst.h, "coeff": coeff, "contribution": part}
         for (hurst, coeff), part in zip(mix.components, parts)
@@ -381,7 +401,7 @@ def _cmd_avar(args) -> int:
 def _cmd_calibrate(args) -> int:
     trace = read_trace(args.infile, fmt=args.format, dt=args.dt, f0=args.f0)
     curve = allan.estimate(trace, _parse_lags(args.lags))
-    fit = allan.fit_mixture(curve, log_space=args.log_space)
+    fit = allan.fit_mixture(curve)
     payload = {
         "c_white": fit.c_white,
         "c_flicker": fit.c_flicker,
@@ -475,9 +495,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--dt", type=float, help="sample interval, required for raw input (s)")
         p.add_argument("--f0", type=float, help="nominal frequency override (Hz)")
         p.add_argument("--lags", required=True, help="'1:100', '1:100:5' or '1,2,5'")
-        if name == "calibrate":
-            p.add_argument("--log-space", action="store_true",
-                           help="refit on log-variances")
         p.add_argument("--out")
         p.set_defaults(func=_cmd_avar if name == "avar" else _cmd_calibrate)
 
@@ -485,8 +502,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Run one CLI invocation; exit code 0 on success, 1 on domain errors,
-    2 on usage errors."""
+    """Run one CLI invocation; exit code 0 on success, 1 on domain errors
+    and on output files that cannot be opened or written, 2 on usage
+    errors.
+
+    Errors with exit code 1 print one ``oscnoise: error:`` line to
+    stderr; for an I/O error it reads ``<path>: <reason>``.
+    """
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -496,7 +518,9 @@ def dispatch(argv) -> int:
         return args.func(args)
     except OscNoiseError as exc:
         print(f"oscnoise: error: {exc}", file=sys.stderr)
-        return 1
+    except OSError as exc:
+        print(f"oscnoise: error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+    return 1
 
 
 def main() -> int:

@@ -213,7 +213,7 @@ def bias_entropy_curve(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(sigma2, bias, min-entropy) arrays over a variance grid.
 
-    Defaults to 60 log-spaced points on [0.01, 20].  The bias is the
+    Defaults to 60 points on [0.01, 20], geometrically spaced.  The bias is the
     closed-form window mass of ``bias``, one vectorised call over the
     grid: the Gaussian image sum below sigma2 = 2 and the theta series
     from there on.

@@ -44,9 +44,17 @@ __all__ = [
     "variance",
 ]
 
-# all sampling in this package draws from numpy's PCG64 via default_rng;
+# all sampling in this package draws from numpy's PCG64 via _rng;
 # recorded in CLI artifact headers for reproducibility
 RNG_ALGORITHM = "numpy-pcg64"
+
+
+def _rng(seed: int) -> np.random.Generator:
+    # the one generator constructor; numpy would reject a negative seed
+    # with a bare ValueError
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -278,7 +286,7 @@ def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
     K = covariance_matrix(model, grid)
     L = cholesky_with_jitter(K)
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return L @ rng.standard_normal((len(grid), n_paths))
 
 
@@ -340,7 +348,7 @@ def simulate_trace(
         raise DomainError(f"dt must be positive, got {dt}")
     if oversample < 1:
         raise DomainError(f"oversample must be >= 1, got {oversample}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     total = np.zeros(n_samples)
     for hurst, coeff in mix.components:
         if coeff == 0.0:

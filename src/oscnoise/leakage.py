@@ -14,6 +14,9 @@ attacker who saw only finitely many samples can never do better.
 ``discrete_posterior`` provides the matching finite-history oracle, a
 plain Gaussian conditional via a Cholesky solve.  Its variance converges
 to the closed form from above as the observation grid densifies.
+``renewal_sample`` draws future paths from the same conditional law; the
+two share one conditioning step, which checks the history against the
+targets and factors its covariance with ``fbm.cholesky_with_jitter``.
 """
 
 from __future__ import annotations
@@ -49,20 +52,34 @@ def conditional_covariance(h, t: float, s: float, t0: float) -> float:
     return fbm.covariance(h, t - t0, s - t0)
 
 
-def _posterior_system(h, observed_times: TimeGrid, target_t: float):
-    ts = observed_times.points
-    if target_t <= ts[-1]:
+def _condition(h, observed_times: TimeGrid | None, observations, first_target: float):
+    # the one Gaussian conditioning step: one observation per time, all of
+    # them before the first target (after t = 0 with no history).  Returns
+    # the observations and the jitter-Cholesky factor of their covariance
+    # in cho_solve form, or None when there is no history.
+    if observed_times is None:
+        if observations is not None and np.size(observations):
+            raise DomainError("observations given without observed_times")
+        if first_target <= 0:
+            raise DomainError(f"target time must be positive, got {first_target}")
+        return None
+    y = np.asarray(observations, dtype=float)
+    if y.shape != (len(observed_times),):
         raise DomainError(
-            f"target {target_t} must lie after the last observation {ts[-1]}"
+            f"need one observation per time, got {y.shape} for {len(observed_times)}"
+        )
+    ts = observed_times.points
+    if first_target <= ts[-1]:
+        raise DomainError(
+            f"target {first_target} must lie after the last observation {ts[-1]}"
         )
     K = fbm.covariance_matrix(h, observed_times)
-    k = fbm.cross_covariance(h, ts, target_t)
-    return (fbm.cholesky_with_jitter(K), True), k
+    return y, (fbm.cholesky_with_jitter(K), True)
 
 
 def discrete_posterior(
     h,
-    observed_times: TimeGrid,
+    observed_times: TimeGrid | None,
     target_t: float,
     observations,
     drift: tuple[float, float] | None = None,
@@ -79,23 +96,17 @@ def discrete_posterior(
     unmodelled drift in the data is simply projected like any other
     observation, which is not the same thing.)
 
-    With no observations this reduces to the unconditional law.
+    The history is checked and factored by the same conditioning step as
+    :func:`renewal_sample`: one observation per time, the target after
+    the last one.  ``observed_times=None``, with no observations, is the
+    unconditional law.
     """
     h = _as_hurst(h)
-    if observations is None:
-        observations = []
-    y = np.asarray(observations, dtype=float)
-    if observed_times is None or len(observed_times) == 0 or y.size == 0:
-        if y.size or (observed_times is not None and len(observed_times)):
-            raise DomainError("observed_times and observations must match")
-        if target_t <= 0:
-            raise DomainError(f"target time must be positive, got {target_t}")
+    system = _condition(h, observed_times, observations, target_t)
+    if system is None:
         return 0.0, fbm.variance(h, target_t)
-    if y.shape != (len(observed_times),):
-        raise DomainError(
-            f"need one observation per time, got {y.shape} for {len(observed_times)}"
-        )
-    cf, k = _posterior_system(h, observed_times, target_t)
+    y, cf = system
+    k = fbm.cross_covariance(h, observed_times.points, target_t)
     alpha = scipy.linalg.cho_solve(cf, k)
     var = fbm.variance(h, target_t) - float(k @ alpha)
     if drift is not None:
@@ -119,27 +130,19 @@ def renewal_sample(
     independent fresh start: a new copy of the process on the shifted
     grid (t - s), s the last observation time.  Cross-covariances between
     future points therefore equal the unconditional covariances of the
-    restarted process.  With an empty history this is plain simulation.
+    restarted process.  The history goes through the same conditioning
+    step as :func:`discrete_posterior`, with the first future time as the
+    target; ``observed_times=None``, with no observations, is plain
+    simulation.
     """
     h = _as_hurst(h)
-    empty = observed_times is None or len(observed_times) == 0
-    s_last = 0.0 if empty else float(observed_times.points[-1])
-    if future_grid.points[0] <= s_last:
-        raise DomainError(
-            f"future grid must start after the conditioning time {s_last}"
-        )
-    if empty:
-        mean = np.zeros(len(future_grid))
+    system = _condition(h, observed_times, observations, float(future_grid.points[0]))
+    if system is None:
+        s_last, mean = 0.0, np.zeros(len(future_grid))
     else:
-        y = np.asarray(observations, dtype=float)
-        if y.shape != (len(observed_times),):
-            raise DomainError(
-                f"need one observation per time, got {y.shape} for {len(observed_times)}"
-            )
-        cf, _ = _posterior_system(h, observed_times, float(future_grid.points[0]))
-        weights = scipy.linalg.cho_solve(cf, y)
+        y, cf = system
+        s_last = float(observed_times.points[-1])
         cross = fbm.cross_covariance(h, future_grid.points[:, None], observed_times.points)
-        mean = cross @ weights
-    shifted = TimeGrid(future_grid.points - s_last)
-    fresh = fbm.simulate(h, shifted, n_paths, seed)
+        mean = cross @ scipy.linalg.cho_solve(cf, y)
+    fresh = fbm.simulate(h, TimeGrid(future_grid.points - s_last), n_paths, seed)
     return mean[:, None] + fresh

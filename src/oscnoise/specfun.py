@@ -70,6 +70,9 @@ _THETA_SWITCH = 1.0 / (2.0 * math.pi**2)
 # cancellation there, while the closed form's X^-(2H+1) prefactor overflows
 # and its terms cancel as s -> 0
 _HYP1F2_SERIES_MAX = 1.0
+# machine epsilon of the 1F2 series' accumulator: 2^-63 for x86 80-bit
+# floats, 2^-52 where np.longdouble is a plain double
+_LONGDOUBLE_EPS = float(np.finfo(np.longdouble).eps)
 # largest s for the closed form: scipy's jv loses the phase beyond X = 2s
 # of about 2e15 (it is good to 2e-16 of the envelope at 1.6e15)
 _HYP1F2_S_MAX = 5e14
@@ -110,11 +113,11 @@ class Tolerance:
 class Hyp1F2Result:
     """Value of a 1F2 evaluation plus how it was obtained.
 
-    ``branch`` is ``"series"`` (the defining series in 80-bit floats,
-    summed to the ``Tolerance``) or ``"bessel"`` (the closed form in
-    Bessel J and Struve H functions).  ``error_estimate`` is an absolute
-    bound on the numerical error of ``value``.  For the series it is the
-    80-bit rounding noise of the largest term.  For the closed form it is
+    ``branch`` is ``"series"`` (the defining series in ``np.longdouble``,
+    80-bit on x86, summed to the ``Tolerance``) or ``"bessel"`` (the
+    closed form in Bessel J and Struve H functions).  ``error_estimate``
+    is an absolute bound on the numerical error of ``value``.  For the
+    series it is the ``np.longdouble`` rounding noise of the largest term.  For the closed form it is
     2^-52 times the terms the form adds, each at the envelope of its
     oscillating factors, weighted 16384 for the products with a Struve
     function and 32 for the pure Bessel terms; both weights were fixed by
@@ -422,10 +425,10 @@ def _hyp1f2_series_native(
             abs(float(total)), tol.abs_tol
         ):
             break
-    # cancellation noise (80-bit floats carry a 64-bit mantissa), then the
-    # rounding to a double
+    # cancellation noise at np.longdouble precision, then the rounding to
+    # a double
     value = float(total)
-    err = peak * 2.0**-63 * math.sqrt(n) + abs(value) * 2.0**-53
+    err = peak * _LONGDOUBLE_EPS * math.sqrt(n) + abs(value) * 2.0**-53
     return value, err
 
 

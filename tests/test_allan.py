@@ -282,13 +282,6 @@ class TestFitMixture:
         assert fit.c_white == pytest.approx(2.0, rel=1e-10)
         assert fit.c_flicker == pytest.approx(0.5, rel=1e-10)
 
-    def test_log_space_flag(self):
-        lags = np.arange(1.0, 31.0)
-        vals = C_WHITE * lags + 0.09 * C_FLICKER * lags**2
-        fit = allan.fit_mixture(_curve(lags, vals), log_space=True)
-        assert fit.c_white == pytest.approx(1.0, rel=1e-6)
-        assert fit.c_flicker == pytest.approx(0.3, rel=1e-6)
-
     def test_nonnegative_even_for_misfit_data(self):
         lags = np.arange(1.0, 21.0)
         vals = np.maximum(C_WHITE * lags - 10.0, 0.1)  # not in the model cone
@@ -302,10 +295,9 @@ class TestFitMixture:
         mix = NoiseMixture.white_flicker(1.0, 0.5)
         x = fbm.simulate_trace(mix, 500_000, 1.0, seed=seed, oversample=4)
         curve = allan.estimate(PhaseTrace(dt=1.0, samples=x), range(1, 101))
-        for log_space in (False, True):
-            fit = allan.fit_mixture(curve, log_space=log_space)
-            assert abs(fit.c_white - 1.0) < 0.01, (seed, log_space, fit.c_white)
-            assert abs(fit.c_flicker / 0.5 - 1.0) < 0.03, (seed, log_space, fit.c_flicker)
+        fit = allan.fit_mixture(curve)
+        assert abs(fit.c_white - 1.0) < 0.01, (seed, fit.c_white)
+        assert abs(fit.c_flicker / 0.5 - 1.0) < 0.03, (seed, fit.c_flicker)
 
     def test_needs_a_decade(self):
         with pytest.raises(DomainError):

@@ -14,13 +14,14 @@ from oscnoise.errors import TraceFormatError
 from oscnoise.fbm import NoiseMixture, OscillatorConfig
 
 
-def _run_python(args, cwd):
+def _run_python(args, cwd, stdout=subprocess.PIPE):
     # a fresh interpreter that imports this checkout's oscnoise
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.run(
-        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, *args], cwd=cwd, env=env, stdout=stdout, stderr=subprocess.PIPE,
+        text=True, timeout=120,
     )
 
 
@@ -265,6 +266,87 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert captured.err.startswith("oscnoise: error: ")
         assert missing in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            ("covariance --hurst 1 --s 1 --t 2", "--out"),
+            ("entropy --c-white 1 --dt 1.0", "--curves"),
+            ("simulate --c-white 1 --samples 64 --dt 1.0 --seed 1", "--out"),
+            ("simulate --hurst 1 --t0 1 --t1 2 --n 4 --seed 1", "--out"),
+        ],
+    )
+    def test_unwritable_output_exit_one(self, tmp_path, capsys, argv, flag):
+        target = str(tmp_path / "missing" / "out.txt")
+        assert dispatch(argv.split() + [flag, target]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"oscnoise: error: {target}: No such file or directory\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "covariance --hurst 1 --s 1 --t 2",
+            "simulate --c-white 1 --samples 64 --dt 1.0 --seed 1",
+        ],
+    )
+    def test_full_device_exit_one(self, capsys, argv):
+        assert dispatch(argv.split() + ["--out", "/dev/full"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "oscnoise: error: /dev/full: No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["csv", "raw_f64_le"])
+    def test_write_trace_full_device_names_path(self, fmt):
+        trace = PhaseTrace(dt=1.0, samples=np.arange(10.0))
+        with pytest.raises(OSError) as info:
+            write_trace(trace, "/dev/full", fmt=fmt)
+        assert info.value.filename == "/dev/full"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_full_stdout_exit_one(self, tmp_path):
+        argv = "-m oscnoise.cli covariance --hurst 1 --s 1 --t 2".split()
+        with open("/dev/full", "w") as full:
+            proc = _run_python(argv, tmp_path, stdout=full)
+        assert proc.returncode == 1
+        assert proc.stderr == "oscnoise: error: <stdout>: No space left on device\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simulate --hurst 1 --t0 1 --t1 2 --n 4 --seed -1",
+            "simulate --c-white 1 --samples 64 --dt 1.0 --seed -1",
+        ],
+    )
+    def test_negative_seed_exit_one(self, capsys, argv):
+        assert dispatch(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "oscnoise: error: seed must be >= 0, got -1\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("f0", ["-3", "0", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "simulate --hurst 1 --t0 1 --t1 2 --n 4 --seed 1",
+            "simulate --c-white 1 --samples 64 --dt 1.0 --seed 1",
+        ],
+    )
+    def test_nonpositive_f0_exit_one(self, capsys, argv, f0):
+        assert dispatch(argv.split() + ["--f0", f0]) == 1
+        captured = capsys.readouterr()
+        assert "--f0 must be positive" in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize("gap", ["0", "-1"])
+    def test_leakage_nonpositive_gap_exit_one(self, capsys, gap):
+        assert dispatch(["leakage", "--c-white", "1", "--gap", gap]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"oscnoise: error: gap must be positive, got {float(gap)}\n"
+
+    def test_grid_f0_in_header(self, capsys):
+        argv = "simulate --hurst 1 --t0 1 --t1 2 --n 4 --seed 1 --f0 2.5".split()
+        assert dispatch(argv) == 0
+        assert capsys.readouterr().out.startswith("# dt=0.3333333333333333 t0=1.0 f0=2.5\n")
 
     def test_read_trace_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError, match="No such file"):

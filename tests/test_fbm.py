@@ -270,6 +270,11 @@ class TestSimulate:
         c = fbm.simulate(0.8, grid, 4, seed=124)
         assert not np.array_equal(a, c)
 
+    def test_negative_seed(self):
+        # numpy's own error would be a bare ValueError
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            fbm.simulate(0.8, TimeGrid(np.array([1.0])), 1, seed=-1)
+
     def test_single_point_variance(self):
         grid = TimeGrid(np.array([1.0]))
         x = fbm.simulate(NoiseMixture.single(0.5), grid, 100_000, seed=5)
@@ -396,3 +401,5 @@ class TestSimulateTrace:
             fbm.simulate_trace(mix, 10, -1.0, seed=0)
         with pytest.raises(DomainError):
             fbm.simulate_trace(mix, 10, 1.0, seed=0, oversample=0)
+        with pytest.raises(DomainError, match="seed must be >= 0"):
+            fbm.simulate_trace(mix, 10, 1.0, seed=-1)

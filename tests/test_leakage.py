@@ -129,6 +129,14 @@ class TestDiscretePosterior:
         with pytest.raises(DomainError):
             leakage.discrete_posterior(0.5, grid, 3.0, [0.0])
 
+    def test_observations_without_grid(self):
+        with pytest.raises(DomainError, match="without observed_times"):
+            leakage.discrete_posterior(0.5, None, 3.0, [0.0])
+
+    def test_unconditional_target_must_be_positive(self):
+        with pytest.raises(DomainError, match="positive"):
+            leakage.discrete_posterior(0.5, None, 0.0, None)
+
 
 class TestRenewalSample:
     def test_empty_history_matches_plain_simulation(self):
@@ -169,3 +177,20 @@ class TestRenewalSample:
         hist = TimeGrid(np.array([1.0]))
         with pytest.raises(DomainError):
             leakage.renewal_sample(0.5, hist, [0.0], TimeGrid(np.array([0.5])), 1, seed=0)
+
+    @pytest.mark.parametrize("observations", [[0.0], None])
+    def test_observations_must_match_grid(self, observations):
+        hist = TimeGrid(np.array([0.5, 1.0]))
+        future = TimeGrid(np.array([1.5]))
+        with pytest.raises(DomainError, match="one observation per time"):
+            leakage.renewal_sample(0.5, hist, observations, future, 1, seed=0)
+
+    def test_observations_without_grid(self):
+        future = TimeGrid(np.array([1.5]))
+        with pytest.raises(DomainError, match="without observed_times"):
+            leakage.renewal_sample(0.5, None, [0.1], future, 1, seed=0)
+
+    def test_negative_seed(self):
+        future = TimeGrid(np.array([1.5]))
+        with pytest.raises(DomainError, match="seed"):
+            leakage.renewal_sample(0.5, None, None, future, 1, seed=-1)
