@@ -17,6 +17,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import sys
 import warnings
 from typing import NoReturn
@@ -128,11 +129,12 @@ def _read_trace(path: str, fmt: str, dt: float | None, f0: float | None) -> Phas
     return PhaseTrace(dt=dt, samples=values[:, 0], f0=f0, source=path)
 
 
-def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
+def write_trace(trace: PhaseTrace, path: str | None, fmt: str = "csv") -> None:
     """Write a trace so that ``read_trace`` reproduces it bit-exactly.
 
-    A file that cannot be opened or written, a full device included,
-    raises ``OSError`` with ``filename`` set to ``path``.
+    An empty or ``None`` path writes to stdout.  A file that cannot be
+    opened or written, a full device included, raises ``OSError`` with
+    ``filename`` set to ``path``.
     """
     if fmt == "raw_f64_le":
         with _output(path, "wb") as fh:
@@ -141,7 +143,16 @@ def write_trace(trace: PhaseTrace, path: str, fmt: str = "csv") -> None:
     if fmt != "csv":
         raise TraceFormatError(f"unknown trace format {fmt!r}")
     with _output(path) as fh:
-        _write_csv(trace, fh)
+        header = f"# dt={trace.dt!r}"
+        if trace.f0 is not None:
+            header += f" f0={trace.f0!r}"
+        fh.write(header + "\n")
+        if trace.source:
+            fh.write(f"# {trace.source}\n")
+        # in blocks, so the Python strings of a long trace never all exist
+        for start in range(0, trace.samples.size, _WRITE_BLOCK):
+            block = trace.samples[start : start + _WRITE_BLOCK].tolist()
+            fh.write("\n".join(map(repr, block)) + "\n")
 
 
 @contextlib.contextmanager
@@ -151,27 +162,22 @@ def _output(path: str | None, mode: str = "w"):
     # a failed write (as on a full device) carries no file name.
     try:
         if not path:
-            yield sys.stdout
+            yield sys.stdout.buffer if "b" in mode else sys.stdout
             sys.stdout.flush()
         else:
             with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
                 yield fh
     except OSError as exc:
+        if not path:
+            # stdout may keep the bytes it could not write; send them to
+            # devnull so the flush at interpreter exit cannot fail again
+            with contextlib.suppress(OSError, ValueError):
+                stdout_fd = sys.stdout.fileno()
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout_fd)
+                os.close(devnull)
         exc.filename = path or "<stdout>"
         raise
-
-
-def _write_csv(trace: PhaseTrace, fh) -> None:
-    header = f"# dt={trace.dt!r}"
-    if trace.f0 is not None:
-        header += f" f0={trace.f0!r}"
-    fh.write(header + "\n")
-    if trace.source:
-        fh.write(f"# {trace.source}\n")
-    # in blocks, so the Python strings of a long trace never all exist
-    for start in range(0, trace.samples.size, _WRITE_BLOCK):
-        block = trace.samples[start : start + _WRITE_BLOCK].tolist()
-        fh.write("\n".join(map(repr, block)) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -261,11 +267,7 @@ def _cmd_simulate(args) -> int:
             f0=args.f0,
             source=f"rng={fbm.RNG_ALGORITHM} seed={args.seed}",
         )
-        if args.out:
-            write_trace(trace, args.out)
-        else:
-            with _output(None) as fh:
-                _write_csv(trace, fh)
+        write_trace(trace, args.out)
         return 0
     if args.t0 is None or args.t1 is None or args.n is None:
         raise DomainError("grid mode needs --t0, --t1 and --n (or use --samples)")
@@ -519,7 +521,8 @@ def dispatch(argv) -> int:
     except OscNoiseError as exc:
         print(f"oscnoise: error: {exc}", file=sys.stderr)
     except OSError as exc:
-        print(f"oscnoise: error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
+        reason = f"{exc.filename}: {exc.strerror or exc}" if exc.filename else exc
+        print(f"oscnoise: error: {reason}", file=sys.stderr)
     return 1
 
 

@@ -257,6 +257,21 @@ class TestDispatch:
         assert captured.out == out.read_bytes()
         assert captured.err == b""
 
+    def test_write_trace_raw_to_stdout(self, tmp_path, capsysbinary):
+        trace = PhaseTrace(dt=1.0, samples=np.arange(10.0))
+        out = tmp_path / "trace.f64"
+        write_trace(trace, str(out), fmt="raw_f64_le")
+        write_trace(trace, None, fmt="raw_f64_le")
+        assert capsysbinary.readouterr().out == out.read_bytes()
+
+    def test_os_error_without_file_name(self, capsys, monkeypatch):
+        def fail(*args, **kwargs):
+            raise OSError("device vanished")
+
+        monkeypatch.setattr(cli.entropy, "bandwidth_report", fail)
+        assert dispatch("entropy --c-white 1 --dt 1.0".split()) == 1
+        assert capsys.readouterr().err == "oscnoise: error: device vanished\n"
+
     @pytest.mark.parametrize("command", ["avar", "calibrate"])
     @pytest.mark.parametrize("fmt", ["csv", "raw_f64_le"])
     def test_missing_trace_file_exit_one(self, tmp_path, capsys, command, fmt):
