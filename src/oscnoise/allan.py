@@ -44,10 +44,6 @@ __all__ = [
 ]
 
 _C_FLICKER = 4.0 * math.log(2.0) / math.pi
-# Taylor coefficients of C(H)/C(1) around H = 1 (C(1+u)/C(1) = 1 + c1 u + c2 u^2)
-_C1_AT_1 = math.log(2.0) - 2.0 * 0.9227843350984671  # ln2 - 2 psi(3)
-_C2_AT_1 = 1.5991790803600423
-_SERIES_WINDOW = 1e-6
 
 
 @dataclass(frozen=True)
@@ -129,14 +125,17 @@ class FitResult:
 def avar_constant(h) -> float:
     """Lag-independent constant C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1).
 
-    Continuous across the removable singularity at H = 1, where it is
-    evaluated by a second-order expansion around the limit 4 ln2 / pi.
+    Evaluated as -4 expm1((H-1) ln4) / ((-1)^n sin((H-n) pi)) / Gamma(2H+1)
+    with n = round(H), so that H-1 and H-n are exact and neither factor
+    loses digits near H = 1/2 or H = 1; at H = 1, the removable
+    singularity, it is the limit 4 ln2 / pi.
     """
     h = _as_hurst(h).h
-    u = h - 1.0
-    if abs(u) <= _SERIES_WINDOW:
-        return _C_FLICKER * (1.0 + _C1_AT_1 * u + _C2_AT_1 * u * u)
-    return (4.0 - 4.0**h) / math.sin(h * math.pi) / math.gamma(2.0 * h + 1.0)
+    if h == 1.0:
+        return _C_FLICKER
+    n = round(h)
+    sin_h_pi = (-1.0) ** n * math.sin((h - n) * math.pi)
+    return -4.0 * math.expm1((h - 1.0) * math.log(4.0)) / sin_h_pi / math.gamma(2.0 * h + 1.0)
 
 
 def theoretical_d2_variance(h, lag_h: float) -> float:

@@ -4,16 +4,16 @@ Only the parameter families the model actually needs are implemented,
 which allows much stronger evaluation strategies than a general-purpose
 hypergeometric routine could use:
 
-* ``hyp2f1_restricted`` evaluates 2F1(1, 1/2-H; H+3/2; z) on z in [0, 1]
-  for 0 < H < 3/2, and ``hyp2f1_curve`` does so over arrays, summing the
-  series in fixed-size blocks of sorted z.  The forward power series is
-  used up to z = 0.8; above that the series stalls, so the standard
-  z -> 1-z connection formula is applied.  With the first upper parameter
-  equal to 1 the second term of the connection formula collapses to an
-  elementary power, so the transformed evaluation needs a single fast
-  series.  Near integer 2H the two connection terms have cancelling
-  poles; the function itself is analytic in H, so it is interpolated there
-  from Chebyshev nodes in H that keep clear of the poles.
+* ``hyp2f1_curve`` evaluates 2F1(1, 1/2-H; H+3/2; z) over arrays of z in
+  [0, 1] for 0 < H < 3/2, summing the series in fixed-size blocks of
+  sorted z.  The forward power series is used up to z = 0.8; above that
+  the series stalls, so the standard z -> 1-z connection formula is
+  applied.  With the first upper parameter equal to 1 the second term of
+  the connection formula collapses to an elementary power, so the
+  transformed evaluation needs a single fast series.  Near integer 2H the
+  two connection terms have cancelling poles; the function itself is
+  analytic in H, so it is interpolated there from Chebyshev nodes in H
+  that keep clear of the poles.
 * ``hyp1f2`` evaluates 1F2(H+1/2; H+1, H+3/2; -s^2) and the companion
   triple (H+1/2; H+3/2, H+2; -s^2) appearing in the oscillator spectra.
   Both are integrals of u^H J_H(u), which DLMF 10.22.2 gives in closed
@@ -31,7 +31,6 @@ All functions are pure and safe to call from multiple threads.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -43,9 +42,8 @@ from .errors import ConvergenceError, DomainError
 __all__ = [
     "Tolerance",
     "Hyp1F2Result",
-    "default_tolerance",
     "hyp1f2",
-    "hyp2f1_restricted",
+    "hyp2f1_curve",
     "theta3",
     "wrapped_gaussian",
 ]
@@ -129,71 +127,23 @@ class Hyp1F2Result:
     error_estimate: float
 
 
-def default_tolerance() -> Tolerance:
-    """Package default tolerance, overridable through the environment.
-
-    Reads ``OSCNOISE_ABS_TOL``, ``OSCNOISE_REL_TOL`` and
-    ``OSCNOISE_MAX_TERMS`` if set.
-    """
-    return Tolerance(
-        abs_tol=_env_number("OSCNOISE_ABS_TOL", float, 1e-14),
-        rel_tol=_env_number("OSCNOISE_REL_TOL", float, 1e-12),
-        max_terms=_env_number("OSCNOISE_MAX_TERMS", int, 1_000_000),
-    )
-
-
-def _env_number(name: str, kind, default):
-    text = os.environ.get(name)
-    if text is None:
-        return default
-    try:
-        return kind(text)
-    except ValueError:
-        raise DomainError(f"{name}={text!r} is not a valid {kind.__name__}") from None
-
-
 # ---------------------------------------------------------------------------
 # restricted 2F1
 # ---------------------------------------------------------------------------
 
 
-def _hurst_from_params(a: float, b: float, c: float) -> float:
-    """Map (a, b, c) = (1, 1/2-H, H+3/2) back to H, validating the shape."""
-    if a != 1.0:
-        raise DomainError(f"first parameter must be 1, got {a}")
-    h = 0.5 - b
-    if abs(c - (h + 1.5)) > 1e-9:
-        raise DomainError(
-            f"parameters ({a}, {b}, {c}) are not of the form (1, 1/2-H, H+3/2)"
-        )
-    if not 0.0 < h < 1.5:
-        raise DomainError(f"implied Hurst exponent {h} outside (0, 3/2)")
-    return h
-
-
-def hyp2f1_restricted(
-    a: float, b: float, c: float, z: float, tol: Tolerance | None = None
-) -> float:
-    """2F1(1, 1/2-H; H+3/2; z) for z in [0, 1].
-
-    At z = 1 the Gauss summation gives the exact value (H+1/2)/(2H).
-    """
-    h = _hurst_from_params(a, b, c)
-    if not (0.0 <= z <= 1.0):
-        raise DomainError(f"z must lie in [0, 1], got {z}")
-    out = hyp2f1_curve(h, np.array([z], dtype=float), tol)
-    return float(out[0])
-
-
 def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
-    """Vectorised 2F1(1, 1/2-H; H+3/2; z) over an array of z in [0, 1].
+    """2F1(1, 1/2-H; H+3/2; z) for 0 < H < 3/2, elementwise over z in [0, 1].
 
-    This is the workhorse behind covariance matrices; the scalar
-    ``hyp2f1_restricted`` wraps it.  The z values are sorted once so that
-    each fixed-size block of the series sums holds neighbouring z, which
-    need nearly the same number of terms.
+    This is the kernel behind the covariance; a scalar z returns a 0-d
+    array.  At z = 1 the Gauss summation gives the exact value
+    (H+1/2)/(2H).  The z values are sorted once so that each fixed-size
+    block of the series sums holds neighbouring z, which need nearly the
+    same number of terms.
     """
-    tol = tol or default_tolerance()
+    if not 0.0 < h < 1.5:
+        raise DomainError(f"Hurst exponent {h} outside (0, 3/2)")
+    tol = tol or Tolerance()
     z = np.asarray(z, dtype=float)
     if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
         raise DomainError("z values must lie in [0, 1]")
@@ -391,7 +341,7 @@ def hyp1f2(
     lose their phase.  The returned record carries the branch taken and an
     absolute error estimate.
     """
-    tol = tol or default_tolerance()
+    tol = tol or Tolerance()
     h, family = _family_from_params(a, b1, b2)
     if not (x <= 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and <= 0, got {x}")
@@ -499,7 +449,7 @@ def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> 
     Both forms' terms are largest at the split, so the term counts are set
     there: the first omitted term is below min(abs_tol, rel_tol).
     """
-    tol = tol or default_tolerance()
+    tol = tol or Tolerance()
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     n_series, n_images = _wrapped_term_counts(tol)
     series = v >= _THETA_SWITCH
@@ -554,9 +504,3 @@ def theta3(z: float, q: float, tol: Tolerance | None = None) -> float:
         return 1.0
     return float(wrapped_gaussian(z / math.pi, -math.log(q) / (2.0 * math.pi**2), tol))
 
-
-def _theta3_wrapped(z: float, q: float, tol: Tolerance) -> float:
-    """theta_3(z | q) by the image sum alone, for nomes above 1/e."""
-    v = np.array([-math.log(q) / (2.0 * math.pi**2)])
-    n_images = _wrapped_term_counts(tol)[1]
-    return float(_wrapped_images(np.array([z / math.pi]), v, n_images, False)[0])

@@ -29,6 +29,15 @@ def mp_hyp1f2(a: float, b1: float, b2: float, x: float, dps: int = 60) -> float:
         return float(mp.hyp1f2(a, b1, b2, x))
 
 
+def mp_avar_constant(h: float) -> float:
+    """Reference C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1) at 50 digits."""
+    with mp.workdps(50):
+        if h == 1.0:
+            return float(4 * mp.log(2) / mp.pi)
+        hh = mp.mpf(h)
+        return float((4 - mp.mpf(4) ** hh) / mp.sin(hh * mp.pi) / mp.gamma(2 * hh + 1))
+
+
 def mp_theta3(z: float, q: float) -> float:
     return float(mp.jtheta(3, z, q))
 

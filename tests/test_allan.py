@@ -40,19 +40,23 @@ class TestTheoreticalD2Variance:
         )
 
     def test_continuity_through_flicker(self):
-        # the removable csc singularity: both the series window and the
-        # direct formula near the switch agree with a high-precision oracle
-        import mpmath as mp
-
-        def oracle(h):
-            with mp.workdps(50):
-                hh = mp.mpf(h)
-                return float((4 - mp.mpf(4) ** hh) / mp.sin(hh * mp.pi) / mp.gamma(2 * hh + 1))
-
+        # the removable csc singularity: the limit at H = 1 and the formula
+        # just beside it agree with a high-precision oracle
         assert allan.avar_constant(1.0) == pytest.approx(C_FLICKER, rel=1e-14)
         for u in (1e-7, -1e-7, 9.9e-7, -9.9e-7, 1.1e-6, -1.1e-6, 1e-4):
             h = 1.0 + u
-            assert allan.avar_constant(h) == pytest.approx(oracle(h), rel=1e-9), u
+            ref = _oracles.mp_avar_constant(h)
+            assert allan.avar_constant(h) == pytest.approx(ref, rel=1e-9), u
+
+    def test_matches_mpmath_across_range(self):
+        # one formula for all H: no cliff near the removable singularity at
+        # H = 1, the zero of sin at H = 0, or the white-noise point H = 1/2
+        hs = [1e-6, 1e-3, *np.linspace(0.01, 1.49, 149).tolist()]
+        hs += [c + s * 10.0**-k for c in (0.5, 1.0) for s in (1.0, -1.0) for k in range(1, 16)]
+        for h in hs:
+            assert allan.avar_constant(h) == pytest.approx(
+                _oracles.mp_avar_constant(h), rel=4e-15, abs=0.0
+            ), h
 
     def test_continuity_grid(self):
         hs = np.arange(0.995, 1.005, 1e-4)
