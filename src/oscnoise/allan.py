@@ -26,8 +26,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-import scipy.fft
-import scipy.optimize
 
 from .errors import DomainError, InsufficientDataError, TraceFormatError
 from .fbm import _as_hurst
@@ -96,10 +94,12 @@ class AllanCurve:
         means = np.asarray(self.d2_means, dtype=float)
         if not (lags.shape == var.shape == cnt.shape == means.shape):
             raise DomainError("curve arrays must have identical shapes")
-        if lags.size < 1 or np.any(lags <= 0) or np.any(np.diff(lags) <= 0):
-            raise DomainError("lags must be positive and strictly increasing")
-        if np.any(var < 0):
-            raise DomainError("variances must be nonnegative")
+        if lags.size < 1 or not (
+            np.all((lags > 0) & np.isfinite(lags)) and np.all(np.diff(lags) > 0)
+        ):
+            raise DomainError("lags must be positive, finite and strictly increasing")
+        if not np.all((var >= 0) & np.isfinite(var)):
+            raise DomainError("variances must be nonnegative and finite")
         if np.any(cnt < 2):
             raise DomainError("need at least 2 differences per lag")
         for name, arr in (("lags", lags), ("variances", var), ("d2_means", means)):
@@ -173,6 +173,21 @@ def diff_covariance(
     return total
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, n >= 1: a length the
+    real FFT factors into radix-2, -3 and -5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     """Overlapping second-difference variance of a phase trace.
 
@@ -216,7 +231,7 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
         )
     span = 2 * mmax
     # the increments, written straight into the zero-padded FFT input
-    size = scipy.fft.next_fast_len(x.size - 1 + span, real=True)
+    size = _fast_len(x.size - 1 + span)
     padded = np.zeros(size)
     y = padded[: x.size - 1]
     np.subtract(x[1:], x[:-1], out=y)
@@ -255,6 +270,24 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     )
 
 
+def _nnls2(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares on two columns, by the active set.
+
+    The unconstrained least-squares solution when both weights are
+    nonnegative.  Otherwise the convex minimum lies on an axis of the
+    quadrant, so it is the better of the two one-column fits, each
+    clipped at 0.
+    """
+    weights = np.linalg.lstsq(A, b, rcond=None)[0]
+    if (weights >= 0.0).all():
+        return weights
+    fits = np.zeros((2, 2))
+    for j in range(2):
+        col = A[:, j]
+        fits[j, j] = max(float(col @ b) / float(col @ col), 0.0)
+    return min(fits, key=lambda fit: float(np.sum((A @ fit - b) ** 2)))
+
+
 def fit_mixture(curve: AllanCurve) -> FitResult:
     """Recover (c_white, c_flicker) from a measured curve.
 
@@ -279,12 +312,12 @@ def fit_mixture(curve: AllanCurve) -> FitResult:
     counts = curve.counts.astype(float)
 
     w = np.sqrt(counts)
-    weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
+    weights = _nnls2(A * w[:, None], curve.variances * w)
     if weights.any():
         # the model variance is positive at every lag once any weight is
         rel_se = np.sqrt(4.0 * (lags / lags[0]) / (3.0 * counts))
         w = 1.0 / ((A @ weights) * rel_se)
-        weights, _ = scipy.optimize.nnls(A * w[:, None], curve.variances * w)
+        weights = _nnls2(A * w[:, None], curve.variances * w)
     Aw = A * w[:, None]
     res = Aw @ weights - curve.variances * w
     dof = max(lags.size - 2, 1)

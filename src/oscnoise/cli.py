@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
@@ -421,7 +422,10 @@ def _cmd_calibrate(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # built once per process: parse_args leaves the parser as it was, and
+    # each call fills a fresh Namespace (an append action copies its list)
     parser = argparse.ArgumentParser(
         prog="oscnoise",
         description="Closed-form phase-noise analysis for oscillator TRNGs "

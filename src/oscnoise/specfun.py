@@ -447,10 +447,19 @@ def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> 
       so that no two numbers near 1 are subtracted.
 
     Both forms' terms are largest at the split, so the term counts are set
-    there: the first omitted term is below min(abs_tol, rel_tol).
+    there: the first omitted term is below min(abs_tol, rel_tol).  A v that
+    is not positive and finite, a non-finite x, or with ``mass`` an x
+    outside [0, 1/2] raises ``DomainError``.
     """
     tol = tol or Tolerance()
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
+    bad = ~((v > 0.0) & np.isfinite(v))
+    if bad.any():
+        raise DomainError(f"variance must be positive and finite, got {v[bad].flat[0]}")
+    bad = ~((0.0 <= x) & (x <= 0.5) if mass else np.isfinite(x))
+    if bad.any():
+        window = "0 <= x <= 1/2" if mass else "finite x"
+        raise DomainError(f"need {window}, got {x[bad].flat[0]}")
     n_series, n_images = _wrapped_term_counts(tol)
     series = v >= _THETA_SWITCH
     out = np.empty(x.shape)

@@ -13,6 +13,8 @@ import math
 
 import mpmath as mp
 import numpy as np
+import scipy.fft
+import scipy.optimize
 from scipy.integrate import quad
 
 mp.mp.dps = 40
@@ -254,6 +256,16 @@ def allan_loop_estimate(trace, lags):
         counts=np.array(counts, dtype=np.int64),
         d2_means=np.array(means),
     )
+
+
+def fft_fast_len(n: int) -> int:
+    """scipy's fast length for a real FFT of at least n points."""
+    return scipy.fft.next_fast_len(n, real=True)
+
+
+def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Nonnegative least squares by scipy's Lawson-Hanson active set."""
+    return scipy.optimize.nnls(A, b)[0]
 
 
 def ma_d2_variance_exact(h: float, o: int, m: int, n_terms: int = 1 << 20) -> float:

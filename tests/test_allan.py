@@ -263,6 +263,56 @@ class TestEstimateMatchesLoop:
         np.testing.assert_allclose(curve.variances, ref.variances, rtol=0.0, atol=atol)
 
 
+class TestFastLength:
+    def test_matches_scipy_next_fast_len(self):
+        ns = list(range(1, 70_001))
+        for centre in (10**6, 4 * 10**6, 2**31):
+            ns += range(centre - 20, centre + 21)
+        got = [allan._fast_len(n) for n in ns]
+        assert got == [_oracles.fft_fast_len(n) for n in ns]
+
+
+def _assert_fit_matches_scipy_nnls(curve, monkeypatch):
+    got = allan.fit_mixture(curve)
+    with monkeypatch.context() as m:
+        m.setattr(allan, "_nnls2", _oracles.nnls)
+        ref = allan.fit_mixture(curve)
+    # a weight far below the other is pinned only to the rounding of the
+    # larger one, so the weights compare normwise: flicker seed 3 has a
+    # white weight 4e-6 of the flicker one, which any two float solvers
+    # give to about 1e-10 of itself
+    w_got = np.array([got.c_white, got.c_flicker]) ** 2
+    w_ref = np.array([ref.c_white, ref.c_flicker]) ** 2
+    np.testing.assert_allclose(w_got, w_ref, rtol=0.0, atol=1e-12 * w_ref.max())
+    assert got.residual_norm == pytest.approx(ref.residual_norm, rel=1e-12)
+    np.testing.assert_allclose(got.covariance_of_fit, ref.covariance_of_fit, rtol=1e-12)
+    return got, ref
+
+
+class TestFitMatchesScipyNNLS:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "mix",
+        [NoiseMixture.single(0.5), NoiseMixture.single(1.0), NoiseMixture.white_flicker(1.0, 0.5)],
+        ids=["white", "flicker", "white+flicker"],
+    )
+    def test_trace_curves(self, mix, seed, monkeypatch):
+        x = fbm.simulate_trace(mix, 200_000, 1.0, seed=seed)
+        curve = allan.estimate(PhaseTrace(dt=1.0, samples=x), range(1, 101))
+        _assert_fit_matches_scipy_nnls(curve, monkeypatch)
+
+    @pytest.mark.parametrize(
+        "h,zero", [(0.3, "c_flicker"), (1.25, "c_white")], ids=["no-flicker", "no-white"]
+    )
+    def test_zero_weight_curves(self, h, zero, monkeypatch):
+        # a curve flatter than 2h, or steeper than h^2, puts the unconstrained
+        # minimum outside the quadrant, so one weight is clipped to 0
+        x = fbm.simulate_trace(NoiseMixture.single(h), 200_000, 1.0, seed=7)
+        curve = allan.estimate(PhaseTrace(dt=1.0, samples=x), range(1, 101))
+        fit, ref = _assert_fit_matches_scipy_nnls(curve, monkeypatch)
+        assert getattr(fit, zero) == getattr(ref, zero) == 0.0
+
+
 class TestFitMixture:
     def test_exact_white_curve(self):
         # the vanishing weight is resolved to lstsq noise ~1e-14, so its
@@ -328,6 +378,13 @@ class TestCurveValidation:
     def test_decreasing_lags(self):
         with pytest.raises(DomainError):
             _curve([2.0, 1.0], [1.0, 1.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_lag_or_variance(self, bad):
+        with pytest.raises(DomainError, match="lags"):
+            _curve([1.0, 2.0, bad], [1.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match="variances"):
+            _curve([1.0, 2.0, 3.0], [1.0, bad, 3.0])
 
     def test_small_counts(self):
         with pytest.raises(DomainError):

@@ -42,6 +42,16 @@ class TestPackageLayout:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["False"]
 
+    def test_import_skips_scipy_optimize_and_fft(self, tmp_path):
+        # a fresh interpreter: this test process loads both for its oracles
+        code = (
+            "import sys, oscnoise, oscnoise.cli; "
+            "print([m for m in ('scipy.optimize', 'scipy.fft') if m in sys.modules])"
+        )
+        proc = _run_python(["-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
     def test_exports(self):
         assert oscnoise.read_trace is oscnoise.cli.read_trace
         assert oscnoise.write_trace is cli.write_trace
@@ -489,3 +499,33 @@ class TestDispatch:
         a = capsys.readouterr().out
         assert dispatch(argv) == 0
         assert capsys.readouterr().out == a
+
+    def test_reused_parser_matches_fresh_parser(self, tmp_path, capsysbinary):
+        trace = str(tmp_path / "t.csv")
+        argv = "simulate --c-white 1 --c-flicker 0.5 --samples 4000 --dt 1 --seed 3"
+        assert dispatch(argv.split() + ["--out", trace]) == 0
+        calls = [
+            "leakage --component 0.3:1 --gap 0.5".split(),
+            "leakage --component 1.2:2 --gap 0.5".split(),
+            "leakage --gap 0.5 --no-such-flag".split(),
+            "leakage --component 0.7:1 --gap 2 --csv".split(),
+            ["avar", "--in", trace, "--lags", "1:50"],
+            ["calibrate", "--in", trace, "--lags", "1:50"],
+        ]
+
+        def run(argv):
+            code = dispatch(argv)
+            captured = capsysbinary.readouterr()
+            return code, captured.out, captured.err
+
+        capsysbinary.readouterr()
+        cli._build_parser.cache_clear()
+        shared = [run(argv) for argv in calls]
+        assert cli._build_parser.cache_info().misses == 1  # one parser for all
+        alone = []
+        for argv in calls:
+            cli._build_parser.cache_clear()
+            alone.append(run(argv))
+        assert shared == alone
+        assert [code for code, _, _ in shared] == [0, 0, 2, 0, 0, 0]
+        assert shared[0][1] != shared[1][1]

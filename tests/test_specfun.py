@@ -289,3 +289,33 @@ class TestTheta3:
     def test_domain(self, q):
         with pytest.raises(DomainError):
             specfun.theta3(0.0, q)
+
+    @pytest.mark.parametrize("v", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("mass", [False, True])
+    def test_wrapped_gaussian_rejects_variance(self, v, mass):
+        with pytest.raises(DomainError, match="variance"):
+            specfun.wrapped_gaussian(0.25, v, mass=mass)
+        with pytest.raises(DomainError, match="variance"):
+            specfun.wrapped_gaussian(0.25, [0.1, v, 0.2], mass=mass)
+
+    @pytest.mark.parametrize(
+        "x,mass",
+        [
+            (math.nan, False), (math.inf, False), (-math.inf, False),
+            (0.7, True), (-0.2, True), (math.nan, True), (math.inf, True),
+        ],
+    )
+    def test_wrapped_gaussian_rejects_x(self, x, mass):
+        with pytest.raises(DomainError):
+            specfun.wrapped_gaussian(x, 0.1, mass=mass)
+        with pytest.raises(DomainError):
+            specfun.wrapped_gaussian([0.1, x], 0.1, mass=mass)
+
+    def test_wrapped_gaussian_accepts_window_ends(self):
+        v = np.array([0.01, 0.1])  # one on each side of the branch split
+        assert np.all(specfun.wrapped_gaussian(0.0, v, mass=True) == 0.0)
+        np.testing.assert_allclose(specfun.wrapped_gaussian(0.5, v, mass=True), 1.0, rtol=1e-15)
+        # the density takes any finite x, being periodic
+        np.testing.assert_allclose(
+            specfun.wrapped_gaussian(3.3, v), specfun.wrapped_gaussian(0.3, v), rtol=1e-12
+        )
