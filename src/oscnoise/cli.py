@@ -89,18 +89,29 @@ def read_trace(
     first sample; the samples are parsed in one ``np.loadtxt`` call,
     which rounds correctly, so ``write_trace`` output reads back
     bit-exactly.  Blank lines and ``#`` comment lines are skipped.  A
-    file that cannot be opened is a ``TraceFormatError`` too.
+    file that cannot be opened, a CSV that is not ASCII and a raw file
+    that is not a whole number of 8-byte samples are a
+    ``TraceFormatError`` too.
     """
     try:
         return _read_trace(path, fmt, dt, f0)
     except OSError as exc:
         raise TraceFormatError(f"{path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError:
+        raise TraceFormatError(
+            f"{path}: not an ASCII trace (raw float64 input needs --format raw_f64_le)"
+        ) from None
 
 
 def _read_trace(path: str, fmt: str, dt: float | None, f0: float | None) -> PhaseTrace:
     if fmt == "raw_f64_le":
         if dt is None:
             raise TraceFormatError("raw traces need an explicit dt")
+        size = os.path.getsize(path)
+        if size % 8:
+            raise TraceFormatError(
+                f"{path}: {size} bytes is not a whole number of 8-byte float64 samples"
+            )
         samples = np.fromfile(path, dtype="<f8")
         return PhaseTrace(dt=dt, samples=samples, f0=f0, source=path)
     if fmt != "csv":

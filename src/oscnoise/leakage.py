@@ -17,12 +17,13 @@ to the closed form from above as the observation grid densifies.
 ``renewal_sample`` draws future paths from the same conditional law; the
 two share one conditioning step, which checks the history against the
 targets and factors its covariance with ``fbm.cholesky_with_jitter``.
+Both import ``scipy.linalg`` for ``cho_solve`` on first use, so that
+``import oscnoise`` loads no scipy module.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from . import fbm
 from .errors import DomainError
@@ -105,6 +106,8 @@ def discrete_posterior(
     system = _condition(h, observed_times, observations, target_t)
     if system is None:
         return 0.0, fbm.variance(h, target_t)
+    import scipy.linalg
+
     y, cf = system
     k = fbm.cross_covariance(h, observed_times.points, target_t)
     alpha = scipy.linalg.cho_solve(cf, k)
@@ -140,6 +143,8 @@ def renewal_sample(
     if system is None:
         s_last, mean = 0.0, np.zeros(len(future_grid))
     else:
+        import scipy.linalg
+
         y, cf = system
         s_last = float(observed_times.points[-1])
         cross = fbm.cross_covariance(h, future_grid.points[:, None], observed_times.points)

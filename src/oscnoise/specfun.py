@@ -26,6 +26,9 @@ hypergeometric routine could use:
   ``theta3(z | q)`` is its density at z/pi with v = -ln(q)/(2 pi^2).
 
 All functions are pure and safe to call from multiple threads.
+``scipy.special`` is imported inside the two functions that call it, the
+1F2 closed form and the small-variance window mass: it takes about 0.4 s
+to import, which commands that never reach either should not pay.
 """
 
 from __future__ import annotations
@@ -35,7 +38,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import erf, jv, ndtr, struve
 
 from .errors import ConvergenceError, DomainError
 
@@ -390,6 +392,8 @@ def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, fl
     #   G - X^H J_(H+1) = k X [J_(H-1) Hs_(H-2) - Hs_(H-1) J_(H-2)] - 2H X^(H-1) J_H,
     # whose terms stay within a few times the result.  The instantaneous
     # family adds back X^H J_(H+1), its own oscillation.
+    from scipy.special import jv, struve
+
     big_x = 2.0 * s
     j_m2, j_m1, j_0, j_p1 = (float(v) for v in jv(h + np.arange(-2.0, 2.0), big_x))
     hs_m2, hs_m1 = (float(v) for v in struve(h + np.arange(-2.0, 0.0), big_x))
@@ -463,8 +467,10 @@ def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> 
     n_series, n_images = _wrapped_term_counts(tol)
     series = v >= _THETA_SWITCH
     out = np.empty(x.shape)
-    out[series] = _wrapped_series(x[series], v[series], n_series, mass)
-    out[~series] = _wrapped_images(x[~series], v[~series], n_images, mass)
+    if series.any():
+        out[series] = _wrapped_series(x[series], v[series], n_series, mass)
+    if not series.all():
+        out[~series] = _wrapped_images(x[~series], v[~series], n_images, mass)
     return out
 
 
@@ -492,6 +498,8 @@ def _wrapped_series(x: np.ndarray, v: np.ndarray, n_terms: int, mass: bool) -> n
 def _wrapped_images(x: np.ndarray, v: np.ndarray, n_images: int, mass: bool) -> np.ndarray:
     sd = np.sqrt(v)
     if mass:
+        from scipy.special import erf, ndtr
+
         k = np.arange(1, n_images + 1, dtype=float)
         tails = ndtr((x[:, None] - k) / sd[:, None]) - ndtr((-x[:, None] - k) / sd[:, None])
         return erf(x / (math.sqrt(2.0) * sd)) + 2.0 * np.sum(tails, axis=1)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -8,10 +9,10 @@ import numpy as np
 import pytest
 
 import oscnoise
-from oscnoise import allan, cli, entropy, fbm
+from oscnoise import allan, cli, entropy, fbm, leakage
 from oscnoise.cli import PhaseTrace, dispatch, read_trace, write_trace
 from oscnoise.errors import TraceFormatError
-from oscnoise.fbm import NoiseMixture, OscillatorConfig
+from oscnoise.fbm import NoiseMixture, OscillatorConfig, TimeGrid
 
 
 def _run_python(args, cwd, stdout=subprocess.PIPE):
@@ -51,6 +52,91 @@ class TestPackageLayout:
         proc = _run_python(["-c", code], tmp_path)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["[]"]
+
+    def test_import_loads_no_scipy(self, tmp_path):
+        code = (
+            "import sys, oscnoise, oscnoise.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])"
+        )
+        proc = _run_python(["-W", "error", "-c", code], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["[]"]
+
+    def test_numpy_only_commands_load_no_scipy(self, tmp_path):
+        # none of these calls a Bessel function, erf or a Cholesky solve
+        trace = str(tmp_path / "t.csv")
+        calls = [
+            "covariance --hurst 1 --s 1 --t 2",
+            "leakage --c-white 1 --c-flicker 0.5 --gap 1.0",
+            "simulate --c-white 1 --c-flicker 0.5 --t0 0.1 --t1 1 --n 16 --paths 2 --seed 1",
+            "simulate --c-white 1 --c-flicker 0.5 --samples 2000 --dt 1 --seed 3",
+            f"avar --in {trace} --lags 1:20",
+            f"calibrate --in {trace} --lags 1:20",
+        ]
+        argvs = [
+            c.split() + ["--out", trace if "--samples" in c else str(tmp_path / f"{i}.out")]
+            for i, c in enumerate(calls)
+        ]
+        script = (
+            "import json, sys\n"
+            "from oscnoise.cli import dispatch\n"
+            "codes = [dispatch(argv) for argv in json.loads(sys.argv[1])]\n"
+            "print(codes, [m for m in sys.modules if m.startswith('scipy')])\n"
+        )
+        proc = _run_python(["-W", "error", "-c", script, json.dumps(argvs)], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == str([0] * len(calls)) + " []"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # the 1F2 closed form: scipy.special.jv and struve
+            "spectrum --hurst 0.75 --avg-time 1 --omega-min 100 --omega-max 1000 --n-omega 5",
+            # small-variance window masses: scipy.special.erf and ndtr
+            "entropy --c-white 1 --c-flicker 0.5 --dt 1e-3 --alpha 0.4 --curves {out}",
+            "bandwidth --c-white 1 --alpha 0.5 --target 0.5",
+        ],
+    )
+    def test_first_scipy_use_in_fresh_process(self, tmp_path, capsysbinary, argv):
+        # scipy.special is first imported inside the command; its output
+        # must match this process's, where it is long loaded
+        script = (
+            "import sys\n"
+            "from oscnoise.cli import dispatch\n"
+            "before = 'scipy.special' in sys.modules\n"
+            "code = dispatch(sys.argv[1:])\n"
+            "print(code, before, 'scipy.special' in sys.modules, file=sys.stderr)\n"
+        )
+        fresh_out, here_out = tmp_path / "fresh.csv", tmp_path / "here.csv"
+        proc = _run_python(["-c", script, *argv.format(out=fresh_out).split()], tmp_path)
+        assert proc.stderr.split() == ["0", "False", "True"]
+        assert dispatch(argv.format(out=here_out).split()) == 0
+        assert proc.stdout == capsysbinary.readouterr().out.decode()
+        if "{out}" in argv:
+            assert fresh_out.read_bytes() == here_out.read_bytes()
+
+    def test_first_cho_solve_in_fresh_process(self, tmp_path):
+        # both leakage call sites import scipy.linalg on first use
+        script = (
+            "import hashlib, sys\n"
+            "import numpy as np\n"
+            "from oscnoise import leakage\n"
+            "from oscnoise.fbm import TimeGrid\n"
+            "grid, y = TimeGrid(np.linspace(0.05, 1.0, 40)), np.sin(np.arange(40.0))\n"
+            "print('scipy.linalg' in sys.modules)\n"
+            "print(repr(leakage.discrete_posterior(1.45, grid, 1.2, y)))\n"
+            "paths = leakage.renewal_sample(0.7, grid, y, TimeGrid([1.5, 2.0]), 3, 5)\n"
+            "print(hashlib.sha256(paths.tobytes()).hexdigest())\n"
+        )
+        proc = _run_python(["-c", script], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        grid, y = TimeGrid(np.linspace(0.05, 1.0, 40)), np.sin(np.arange(40.0))
+        paths = leakage.renewal_sample(0.7, grid, y, TimeGrid([1.5, 2.0]), 3, 5)
+        assert proc.stdout.splitlines() == [
+            "False",
+            repr(leakage.discrete_posterior(1.45, grid, 1.2, y)),
+            hashlib.sha256(paths.tobytes()).hexdigest(),
+        ]
 
     def test_exports(self):
         assert oscnoise.read_trace is oscnoise.cli.read_trace
@@ -101,6 +187,27 @@ class TestTraceIO:
         assert path.stat().st_size == 24
         trace = read_trace(str(path), fmt="raw_f64_le", dt=1.0)
         assert trace.samples.size == 3
+
+    def test_raw_partial_trailing_sample(self, tmp_path):
+        path = tmp_path / "five.raw"
+        path.write_bytes(np.arange(5.0).astype("<f8").tobytes() + b"abc")
+        with pytest.raises(TraceFormatError, match=r"five\.raw: 43 bytes"):
+            read_trace(str(path), fmt="raw_f64_le", dt=1.0)
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            np.array([1.0, -2.0, 3.5]).astype("<f8").tobytes(),
+            b"# dt=1.0\n0.1\n0.2\xe9\n0.3\n",
+            b"# dt=1.0 site=\xe9\n0.1\n0.2\n0.3\n",
+        ],
+        ids=["raw", "sample", "header"],
+    )
+    def test_non_ascii_csv(self, tmp_path, body):
+        path = tmp_path / "t.bin"
+        path.write_bytes(body)
+        with pytest.raises(TraceFormatError, match=r"t\.bin: not an ASCII trace.*raw_f64_le"):
+            read_trace(str(path))
 
     def test_nan_rejected_with_index(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -291,6 +398,23 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert captured.err.startswith("oscnoise: error: ")
         assert missing in captured.err and captured.out == ""
+
+    @pytest.mark.parametrize(
+        "fmt, body",
+        [
+            ("csv", np.arange(5.0).astype("<f8").tobytes()),
+            ("raw_f64_le", np.arange(5.0).astype("<f8").tobytes() + b"abc"),
+        ],
+        ids=["not-ascii", "partial-sample"],
+    )
+    def test_unreadable_trace_exit_one(self, tmp_path, capsys, fmt, body):
+        path = tmp_path / "trace.bin"
+        path.write_bytes(body)
+        argv = ["avar", "--in", str(path), "--format", fmt, "--dt", "1", "--lags", "1:10"]
+        assert dispatch(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"oscnoise: error: {path}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, flag",
