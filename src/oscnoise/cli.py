@@ -32,7 +32,7 @@ from .fbm import NoiseMixture, OscillatorConfig, TimeGrid
 
 __all__ = ["PhaseTrace", "dispatch", "main", "read_trace", "write_trace"]
 
-_WRITE_BLOCK = 1 << 16  # samples formatted per write in write_trace
+_WRITE_BLOCK = 1 << 16  # samples formatted per write of a trace or of grid paths
 
 
 def _parse_header(line: str) -> dict[str, str]:
@@ -288,13 +288,14 @@ def _cmd_simulate(args) -> int:
     grid = TimeGrid(np.linspace(args.t0, args.t1, args.n))
     paths = fbm.simulate(mix, grid, args.paths, args.seed)
     dt = (args.t1 - args.t0) / (args.n - 1) if args.n > 1 else args.t1 - args.t0
-    lines = [
-        f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 is not None else ""),
-        f"# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={args.paths}",
-    ]
-    # one row at a time, so no Python float exists for the whole matrix
-    lines += [",".join(map(repr, row.tolist())) for row in paths]
-    _emit("\n".join(lines), args.out)
+    header = f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 is not None else "")
+    with _output(args.out) as fh:
+        fh.write(f"{header}\n# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={args.paths}\n")
+        # in blocks of rows, so the text of the whole matrix never exists
+        step = max(1, _WRITE_BLOCK // args.paths)
+        for start in range(0, len(paths), step):
+            rows = paths[start : start + step].tolist()
+            fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
     return 0
 
 

@@ -169,12 +169,18 @@ def solve_min_dt(
     -log2(1/2 + |alpha - 1/2|) -- one bit only for a symmetric duty
     cycle; targets at or above the supremum raise ``NoSolutionError``.
     A target of zero is degenerate (any interval works) and returns
-    ``dt_min``.
+    ``dt_min``.  A target that is negative or not finite, a ``dt_min``
+    that is not positive and finite, or a ``rel_tol`` outside (0, 1)
+    raises ``DomainError``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"duty cycle must lie in (0, 1), got {alpha}")
-    if target_entropy < 0:
-        raise DomainError(f"target entropy must be >= 0, got {target_entropy}")
+    if not 0.0 <= target_entropy < math.inf:
+        raise DomainError(f"target entropy must be finite and >= 0, got {target_entropy}")
+    if not 0.0 < dt_min < math.inf:
+        raise DomainError(f"dt_min must be positive and finite, got {dt_min}")
+    if not 0.0 < rel_tol < 1.0:
+        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if target_entropy == 0.0:
         return dt_min
     cap = -math.log2(0.5 + abs(alpha - 0.5))
@@ -201,6 +207,8 @@ def solve_min_dt(
         return dt_min
     while (hi - lo) > rel_tol * hi:
         mid = math.sqrt(lo * hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent doubles: rel_tol is below their spacing
         if entropy_at(mid) >= target_entropy:
             hi = mid
         else:

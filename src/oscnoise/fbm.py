@@ -48,6 +48,10 @@ __all__ = [
 # recorded in CLI artifact headers for reproducibility
 RNG_ALGORITHM = "numpy-pcg64"
 
+# packed upper-triangle elements per row block of covariance_matrix; a
+# 64-point matrix is one block
+_PACKED_BLOCK = 1 << 16
+
 
 def _rng(seed: int) -> np.random.Generator:
     # the one generator constructor; numpy would reject a negative seed
@@ -185,21 +189,34 @@ def cross_covariance(model, s, t) -> np.ndarray:
         out = np.zeros(lo.shape)
         out[positive] = cross_covariance(model, lo[positive], hi[positive])
         return out
+    z = lo / hi
+    out = np.zeros(lo.shape)
+    for h, scale in _components(model):
+        out += _term(specfun.hyp2f1_curve(h, z), lo ** (h + 0.5) * hi ** (h - 0.5), scale)
+    return out
+
+
+def _components(model) -> list[tuple[float, float]]:
+    # (H, c^2 * 2 / (Gamma(H+1/2)^2 (2H+1))) of each component with c > 0,
+    # for a HurstExponent (or float) or a NoiseMixture
     if isinstance(model, NoiseMixture):
         parts = model.components
     else:
         parts = ((_as_hurst(model), 1.0),)
-    z = lo / hi
-    out = np.zeros(lo.shape)
-    for hurst, coeff in parts:
-        if coeff > 0.0:
-            h = hurst.h
-            cov = lo ** (h + 0.5)
-            cov *= hi ** (h - 0.5)
-            cov *= specfun.hyp2f1_curve(h, z)
-            cov *= coeff * coeff * 2.0 / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
-            out += cov
-    return out
+    return [
+        (hurst.h, coeff * coeff * 2.0 / (math.gamma(hurst.h + 0.5) ** 2 * (2.0 * hurst.h + 1.0)))
+        for hurst, coeff in parts
+        if coeff > 0.0
+    ]
+
+
+def _term(f, powers, scale: float):
+    # one component's c^2 Cov(phi_s, phi_t), s <= t, written over f, its
+    # 2F1 value at s/t: f times the product s^(H+1/2) t^(H-1/2), then
+    # times the scale of _components
+    f *= powers
+    f *= scale
+    return f
 
 
 def covariance(h, s: float, t: float) -> float:
@@ -233,24 +250,71 @@ def mixture_variance(mix: NoiseMixture, t: float) -> float:
     return sum(component_variances(mix, t))
 
 
+def _row_blocks(n: int):
+    # the packed upper triangle of an n x n matrix, row r holding columns
+    # r..n-1, in blocks of whole rows with at most _PACKED_BLOCK elements
+    # (or one row).  Yields a block's rows r0:r1, its slice of the packed
+    # triangle, and the mask that picks those elements, in packed order,
+    # out of the rectangle of rows r0:r1 and columns r0:n
+    step = max(1, _PACKED_BLOCK // n)
+    start = 0
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        size = (r1 - r0) * (2 * n - r0 - r1 + 1) // 2
+        yield r0, r1, slice(start, start + size), np.arange(r0, n) >= np.arange(r0, r1)[:, None]
+        start += size
+
+
+def _packed_term(ts: np.ndarray, z: np.ndarray, h: float, scale: float) -> np.ndarray:
+    # one component's terms over the packed pairs of times ts with ratios
+    # z, written over its 2F1 values; the powers are taken per point
+    f = specfun.hyp2f1_curve(h, z)
+    lo_pow, hi_pow = ts ** (h + 0.5), ts ** (h - 0.5)
+    for r0, r1, packed, mask in _row_blocks(ts.size):
+        _term(f[packed], (lo_pow[r0:r1, None] * hi_pow[r0:])[mask], scale)
+    return f
+
+
 def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     """Covariance matrix of a HurstExponent or NoiseMixture on a grid.
 
-    Only the n(n+1)/2 pairs of the upper triangle are evaluated; the lower
-    triangle is their mirror image, so the matrix is exactly symmetric.
+    Only the n(n+1)/2 pairs s <= t of the upper triangle are evaluated,
+    with the terms of ``cross_covariance`` and the same values bit for
+    bit; the lower triangle is their mirror image, so the matrix is
+    exactly symmetric.  The ratios s/t are built once, packed row by row,
+    and each component takes one ``specfun.hyp2f1_curve`` call over them;
+    the powers come from the 2n per-point powers t^(H+1/2) and t^(H-1/2).
+
+    Working memory is K plus about three packed triangles of n(n+1)/2
+    doubles, K being about two of them.  The ratios, the running sum over
+    components and one component's 2F1 values are held at once; a 2F1
+    call that sorts adds its sort order and sorted copy.  K is allocated
+    once the sum is complete and the ratios are freed, and is written in
+    row blocks of bounded size, both triangles.  The peak is four packed
+    triangles for one component and five for a mixture whose second 2F1
+    sorts.
     """
     ts = grid.points
     n = ts.size
-    rows = np.repeat(ts, np.arange(n, 0, -1))
-    cols = np.concatenate([ts[r:] for r in range(n)])
-    upper = cross_covariance(model, rows, cols)
+    components = _components(model)
+    if not components:
+        return np.zeros((n, n))
+    z = np.empty(n * (n + 1) // 2)
+    for r0, r1, packed, mask in _row_blocks(n):
+        z[packed] = (ts[r0:r1, None] / ts[r0:])[mask]
+    total = _packed_term(ts, z, *components[0])
+    for h, scale in components[1:]:
+        total += _packed_term(ts, z, h, scale)
+    del z
     K = np.empty((n, n))
-    start = 0
-    for r in range(n):
-        row = upper[start : start + n - r]
-        K[r, r:] = row
-        K[r:, r] = row
-        start += n - r
+    for r0, r1, packed, mask in _row_blocks(n):
+        K[r0:r1, r0:][mask] = total[packed]
+        # the mirror: columns r0:r1 below the block, then the lower half of
+        # the block's diagonal square
+        K[r1:, r0:r1] = K[r0:r1, r1:].T
+        square = K[r0:r1, r0:r1]
+        upper = mask[:, : r1 - r0]
+        square.T[upper] = square[upper]
     return K
 
 
@@ -263,9 +327,10 @@ def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:
     """
     scale = float(np.mean(np.diag(K)))
     eps = 0.0
+    jittered = K
     while True:
         try:
-            return np.linalg.cholesky(K if eps == 0.0 else K + eps * scale * np.eye(len(K)))
+            return np.linalg.cholesky(jittered)
         except np.linalg.LinAlgError:
             eps = 1e-12 if eps == 0.0 else eps * 10.0
             if eps > 1e-6:
@@ -273,6 +338,10 @@ def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:
                     "covariance matrix not positive definite even with "
                     f"jitter 1e-6 * mean(diag) = {1e-6 * scale:.3e}"
                 ) from None
+            # one copy of K for all retries, its diagonal reset each time
+            if jittered is K:
+                jittered = K.copy()
+            np.fill_diagonal(jittered, np.diag(K) + eps * scale)
 
 
 def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
@@ -281,6 +350,10 @@ def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     ``model`` is a HurstExponent (or float) or a NoiseMixture; mixtures
     compose per-component covariance matrices additively before a single
     factorisation.  Output is deterministic for a fixed seed (PCG64).
+    Working memory is K and its factor L plus, while K is built, about
+    three packed triangles of n(n+1)/2 doubles (see ``covariance_matrix``);
+    numpy's factorisation adds a working copy of K.  At 2048 points that
+    is about 100 MB, set by the factorisation.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")

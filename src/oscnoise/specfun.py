@@ -156,20 +156,22 @@ def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.nd
 
     flat = z.ravel()
     if h == 1.0:
-        out = _h1_elementary(flat)
+        out = np.empty(flat.size)
+        for lo in range(0, flat.size, _BLOCK):
+            out[lo : lo + _BLOCK] = _h1_elementary(flat[lo : lo + _BLOCK])
         small = flat < 0.1
         if small.any():
             out[small] = _series_2f1(-0.5, 2.5, flat[small], tol)
         return out.reshape(z.shape)
 
+    # the sorted copy is overwritten with the values, then scattered back
     order = np.argsort(flat)
     zs = flat[order]
     k = int(np.searchsorted(zs, _SERIES_SWITCH, side="right"))
-    sorted_out = np.empty_like(zs)
-    sorted_out[:k] = _series_2f1(0.5 - h, h + 1.5, zs[:k], tol)
-    sorted_out[k:] = _transformed_2f1(h, zs[k:], tol)
+    _series_2f1(0.5 - h, h + 1.5, zs[:k], tol)
+    _transformed_2f1(h, zs[k:], tol)
     out = np.empty_like(zs)
-    out[order] = sorted_out
+    out[order] = zs
     return out.reshape(z.shape)
 
 
@@ -184,18 +186,18 @@ def _h1_elementary(z: np.ndarray) -> np.ndarray:
 
 
 def _series_2f1(b, c, z: np.ndarray, tol: Tolerance, weights=1.0) -> np.ndarray:
-    """Forward series sum_j weights_j sum_n (b_j)_n/(c_j)_n z^n.
+    """Forward series sum_j weights_j sum_n (b_j)_n/(c_j)_n z^n, written over z.
 
     ``b``, ``c`` and ``weights`` are scalars or equal-length sequences, one
     entry per series; a weighted sum of series is summed as the single
     series of its combined coefficients.  The z values are summed in
-    blocks of _BLOCK, each running one term count for all its elements.
+    blocks of _BLOCK, each running one term count for all its elements,
+    and each block's sums replace its z values; z is returned.
     """
     coefs = _SeriesCoefficients(b, c, weights)
-    out = np.empty_like(z)
     for lo in range(0, z.size, _BLOCK):
-        out[lo : lo + _BLOCK] = _series_block(coefs, z[lo : lo + _BLOCK], tol)
-    return out
+        z[lo : lo + _BLOCK] = _series_block(coefs, z[lo : lo + _BLOCK], tol)
+    return z
 
 
 class _SeriesCoefficients:
@@ -271,15 +273,18 @@ def _converged(term: np.ndarray, ratio: np.ndarray, total: np.ndarray, tol: Tole
     return bool(np.all((term < tol.abs_tol) & (tail < tol.rel_tol * np.abs(total))))
 
 
-def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> np.ndarray:
-    # z -> 1-z connection formula; with a = 1 the second 2F1 degenerates to
-    # z^-(H+1/2), leaving one fast series in w = 1-z <= 0.2:
+def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> None:
+    # z -> 1-z connection formula over ascending z, written over z; with
+    # a = 1 the second 2F1 degenerates to z^-(H+1/2), leaving one fast
+    # series in w = 1-z <= 0.2:
     #   F = (H+1/2)/(2H) 2F1(1/2-H, 1; 1-2H; w) + P(H) w^(2H) z^-(H+1/2).
     # Near integer 2H the two terms have poles that cancel, while F is
     # analytic in H; there F is interpolated to h from Chebyshev nodes in H
     # that keep clear of the poles.  The interpolant is linear in the node
     # values, so the node series sum as one series of combined coefficients.
-    # At z = 1 the Gauss value (H+1/2)/(2H) is exact.
+    # At z = 1 the Gauss value (H+1/2)/(2H) is exact.  z runs in blocks of
+    # _BLOCK; the values z < 1 open each block, so they form the same
+    # series blocks as the z < 1 of the whole array would.
     if abs(2.0 * h - round(2.0 * h)) < _DEGENERATE_MARGIN:
         m = _DEGENERATE_NODES
         x = np.cos((2.0 * np.arange(m) + 1.0) * math.pi / (2.0 * m))
@@ -289,19 +294,21 @@ def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> np.ndarray:
         hs = h + _DEGENERATE_HALF_WIDTH * (x - u)
     else:
         weights, hs = np.ones(1), np.array([h])
-    out = np.full_like(z, (h + 0.5) / (2.0 * h))
-    inner = z < 1.0
-    zi = z[inner]
-    w = 1.0 - zi
-    t1 = _series_2f1(0.5 - hs, 1.0 - 2.0 * hs, w, tol, weights * (hs + 0.5) / (2.0 * hs))
-    log_w, log_z = np.log(w), np.log(zi)
-    t2 = sum(
-        wj * math.gamma(hj + 1.5) * math.gamma(-2.0 * hj) / math.gamma(0.5 - hj)
-        * np.exp(2.0 * hj * log_w - (hj + 0.5) * log_z)
+    coefs = _SeriesCoefficients(0.5 - hs, 1.0 - 2.0 * hs, weights * (hs + 0.5) / (2.0 * hs))
+    nodes = [
+        (wj * math.gamma(hj + 1.5) * math.gamma(-2.0 * hj) / math.gamma(0.5 - hj), hj)
         for wj, hj in zip(weights.tolist(), hs.tolist())
-    )
-    out[inner] = t1 + t2
-    return out
+    ]
+    for lo in range(0, z.size, _BLOCK):
+        block = z[lo : lo + _BLOCK]
+        inner = int(np.searchsorted(block, 1.0))
+        if inner:
+            zi = block[:inner]
+            w = 1.0 - zi
+            log_w, log_z = np.log(w), np.log(zi)
+            t2 = sum(p * np.exp(2.0 * hj * log_w - (hj + 0.5) * log_z) for p, hj in nodes)
+            block[:inner] = _series_block(coefs, w, tol) + t2
+        block[inner:] = (h + 0.5) / (2.0 * h)
 
 
 # ---------------------------------------------------------------------------

@@ -290,3 +290,42 @@ def ma_d2_variance_exact(h: float, o: int, m: int, n_terms: int = 1 << 20) -> fl
     a[s:] -= 2.0 * g[:-s]
     a[2 * s :] += g[: -2 * s]
     return float(np.sum(a * a))
+
+
+def covariance_matrix_assembly(model, ts: np.ndarray) -> np.ndarray:
+    """Covariance matrix by the pair-list assembly that ``fbm`` used before
+    its packed kernel.
+
+    The n(n+1)/2 pairs of the upper triangle, listed row by row as
+    (rows, cols), go through ``fbm.cross_covariance`` in one call; each row
+    is then written into K and mirrored into its column.
+    """
+    from oscnoise import fbm
+
+    n = ts.size
+    rows = np.repeat(ts, np.arange(n, 0, -1))
+    cols = np.concatenate([ts[r:] for r in range(n)])
+    upper = fbm.cross_covariance(model, rows, cols)
+    K = np.empty((n, n))
+    start = 0
+    for r in range(n):
+        row = upper[start : start + n - r]
+        K[r, r:] = row
+        K[r:, r] = row
+        start += n - r
+    return K
+
+
+def cholesky_eye_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
+    """Lower Cholesky factor of K + eps mean(diag(K)) I for the smallest
+    eps in 0, 1e-12, 1e-11, ..., 1e-6 that factors, and that eps; the
+    jitter is added as a full identity matrix."""
+    scale = float(np.mean(np.diag(K)))
+    eps = 0.0
+    while True:
+        try:
+            return np.linalg.cholesky(K if eps == 0.0 else K + eps * scale * np.eye(len(K))), eps
+        except np.linalg.LinAlgError:
+            eps = 1e-12 if eps == 0.0 else eps * 10.0
+            if eps > 1e-6:
+                raise

@@ -346,6 +346,19 @@ class TestDispatch:
         ref = fbm.simulate(1.0, TimeGrid(np.linspace(100, 200, 100)), 10, seed=7)
         np.testing.assert_array_equal(data, ref)
 
+    @pytest.mark.parametrize("block", [None, 7, 2])
+    def test_simulate_grid_csv_bytes(self, capsys, monkeypatch, block):
+        # rows are written in blocks; the text is the header and one
+        # comma-joined repr row per grid point, whatever the block size
+        if block is not None:
+            monkeypatch.setattr(cli, "_WRITE_BLOCK", block)
+        argv = "simulate --hurst 0.8 --t0 1 --t1 2 --n 9 --paths 3 --seed 3".split()
+        assert dispatch(argv) == 0
+        ref = fbm.simulate(0.8, TimeGrid(np.linspace(1.0, 2.0, 9)), 3, seed=3)
+        body = "".join(",".join(map(repr, row)) + "\n" for row in ref.tolist())
+        expected = "# dt=0.125 t0=1.0\n# rng=numpy-pcg64 seed=3 paths=3\n" + body
+        assert capsys.readouterr().out == expected
+
     def test_simulate_deterministic_stdout(self, capsys):
         argv = "simulate --hurst 0.8 --t0 1 --t1 2 --n 5 --paths 2 --seed 3".split()
         assert dispatch(argv) == 0
@@ -570,6 +583,17 @@ class TestDispatch:
         rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
         assert np.all(np.diff(rows[:, 1]) <= 1e-12)  # bias non-increasing
         assert np.all(np.diff(rows[:, 2]) >= -1e-12)  # entropy non-decreasing
+
+    @pytest.mark.parametrize(
+        "flags", ["--target 0.5 --dt-min nan", "--target 0.5 --dt-min 0", "--target nan"]
+    )
+    def test_bandwidth_bad_input_exit_one(self, capsys, flags):
+        # these printed a dt (8.0 for --dt-min nan, 1.0 for --target nan) with exit 0
+        assert dispatch(["bandwidth", "--c-white", "1", *flags.split()]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("oscnoise: error: ")
+        assert captured.err.count("\n") == 1
 
     def test_bandwidth_inverse(self, capsys):
         code = dispatch(

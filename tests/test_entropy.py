@@ -282,6 +282,36 @@ class TestSolveMinDt:
             entropy.solve_min_dt(NoiseMixture.single(0.5, 0.0), 0.5, 0.5)
 
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"target_entropy": math.nan},
+            {"target_entropy": math.inf},
+            {"target_entropy": 0.0, "dt_min": 0.0},
+            {"dt_min": 0.0},
+            {"dt_min": -1e-12},
+            {"dt_min": math.nan},
+            {"dt_min": math.inf},
+            {"rel_tol": 0.0},
+            {"rel_tol": 1.0},
+            {"rel_tol": -1e-6},
+            {"rel_tol": math.nan},
+        ],
+    )
+    def test_rejects_bad_inputs(self, kwargs):
+        # rel_tol = 0 never returned; a NaN dt_min or target gave a wrong dt
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        with pytest.raises(DomainError):
+            entropy.solve_min_dt(mix, 0.5, **({"target_entropy": 0.5} | kwargs))
+
+    def test_rel_tol_below_double_spacing_returns(self):
+        # below the spacing of doubles the bisection stops at adjacent dt
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        dt = entropy.solve_min_dt(mix, 0.5, 0.5, rel_tol=1e-17)
+        assert entropy.min_entropy(leakage.conditional_variance(mix, dt), 0.5) >= 0.5
+        assert dt == pytest.approx(entropy.solve_min_dt(mix, 0.5, 0.5, rel_tol=1e-12), rel=1e-11)
+
+
 class TestCurve:
     def test_curve_monotone_and_consistent(self):
         grid, biases, entr = entropy.bias_entropy_curve(0.5)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,60 @@ class TestCovarianceMatrix:
         np.testing.assert_allclose(K, expected, rtol=1e-12)
 
 
+# models of the bitwise checks against the pair-list assembly: generic H,
+# H = 1/2 and H = 1 (elementary 2F1s), near-degenerate 2H, and mixtures
+# with a zero coefficient and with three components
+_ASSEMBLY_MODELS = {
+    "0.3": 0.3,
+    "0.5": 0.5,
+    "0.75": 0.75,
+    "1.0": 1.0,
+    "1.25": 1.25,
+    "0.99999": 0.99999,
+    "white_flicker": NoiseMixture.white_flicker(1.0, 0.5),
+    "zero_white": NoiseMixture.from_pairs([(0.5, 0.0), (1.0, 0.7)]),
+    "three": NoiseMixture.from_pairs([(0.5, 1.0), (1.0, 0.5), (0.3, 0.2)]),
+}
+
+
+class TestCovarianceMatrixAssembly:
+    # 300 points give 45150 pairs: several 8192-value blocks of the 2F1 series
+    @pytest.mark.parametrize("n", [1, 2, 64, 300])
+    @pytest.mark.parametrize("name", list(_ASSEMBLY_MODELS))
+    def test_bitwise_equal_to_pair_assembly(self, name, n):
+        model = _ASSEMBLY_MODELS[name]
+        ts = np.linspace(1.0, 10.0, n)
+        K = fbm.covariance_matrix(model, TimeGrid(ts))
+        assert np.array_equal(K, _oracles.covariance_matrix_assembly(model, ts))
+
+    @pytest.mark.parametrize("name", ["1.0", "0.75", "white_flicker", "three"])
+    def test_small_ratios_bitwise(self, name):
+        # t0/t1 = 1e-3, so the H = 1 closed form hands z < 0.1 to its series
+        model = _ASSEMBLY_MODELS[name]
+        ts = np.linspace(1e-3, 1.0, 300)
+        K = fbm.covariance_matrix(model, TimeGrid(ts))
+        assert np.array_equal(K, _oracles.covariance_matrix_assembly(model, ts))
+
+    def test_all_zero_coefficients(self):
+        mix = NoiseMixture.from_pairs([(0.5, 0.0), (1.0, 0.0)])
+        K = fbm.covariance_matrix(mix, TimeGrid(np.linspace(1.0, 2.0, 5)))
+        assert np.array_equal(K, np.zeros((5, 5)))
+
+    @pytest.mark.parametrize("name", ["0.75", "1.0", "white_flicker"])
+    def test_working_memory_bounded(self, name):
+        # tracemalloc counts numpy's buffers: at most K plus three packed
+        # triangles of n(n+1)/2 doubles
+        n = 1024
+        grid = TimeGrid(np.linspace(1.0, 10.0, n))
+        tracemalloc.start()
+        try:
+            fbm.covariance_matrix(_ASSEMBLY_MODELS[name], grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * n * n + 3 * 8 * n * (n + 1) // 2
+
+
 def _mp_covariance(h, s, t):
     # closed form with the mpmath 2F1 oracle
     lo, hi = min(s, t), max(s, t)
@@ -312,6 +367,21 @@ class TestSimulate:
         ts = np.array([1.0, 1.0 + 1e-13, 1.0 + 2e-13, 2.0])
         x = fbm.simulate(0.9, TimeGrid(ts), 3, seed=0)
         assert np.all(np.isfinite(x))
+
+    @pytest.mark.parametrize(
+        "shift, eps", [(-1e-3, 0.0), (3e-12, 1e-11), (3e-9, 1e-8), (3e-7, 1e-6)]
+    )
+    def test_jitter_matches_identity_jitter(self, shift, eps):
+        # a positive definite matrix whose least eigenvalue is moved to
+        # -shift * mean(diag); the factor must be that of K + eps scale I
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+        K = (q * np.linspace(1e-3, 1.0, 30)) @ q.T
+        K -= (1e-3 + shift * np.mean(np.diag(K))) * np.outer(q[:, 0], q[:, 0])
+        K = (K + K.T) / 2.0
+        L, used = _oracles.cholesky_eye_jitter(K)
+        assert used == pytest.approx(eps, rel=1e-12)
+        assert np.array_equal(fbm.cholesky_with_jitter(K), L)
 
     def test_decomposition_failure_loud(self):
         # an indefinite matrix is beyond what the bounded jitter may repair
