@@ -270,9 +270,7 @@ def _cmd_simulate(args) -> int:
     if args.samples is not None:
         if args.dt is None:
             raise DomainError("trace mode needs --dt")
-        samples = fbm.simulate_trace(
-            mix, args.samples, args.dt, args.seed, oversample=args.oversample
-        )
+        samples = fbm.simulate_trace(mix, args.samples, args.dt, args.seed)
         trace = PhaseTrace(
             dt=args.dt,
             samples=samples,
@@ -283,8 +281,12 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.t0 is None or args.t1 is None or args.n is None:
         raise DomainError("grid mode needs --t0, --t1 and --n (or use --samples)")
+    if not (math.isfinite(args.t0) and math.isfinite(args.t1)):
+        raise DomainError(f"--t0 and --t1 must be finite, got ({args.t0}, {args.t1})")
     if not 0 < args.t0 < args.t1:
         raise DomainError("need 0 < t0 < t1")
+    if args.n < 1:
+        raise DomainError(f"--n must be >= 1, got {args.n}")
     grid = TimeGrid(np.linspace(args.t0, args.t1, args.n))
     paths = fbm.simulate(mix, grid, args.paths, args.seed)
     dt = (args.t1 - args.t0) / (args.n - 1) if args.n > 1 else args.t1 - args.t0
@@ -372,7 +374,7 @@ def _report_payload(report: entropy.SecurityReport) -> dict:
 
 def _cmd_entropy(args) -> int:
     mix = _mixture_from_args(args)
-    osc = OscillatorConfig(f0=args.f0, duty_alpha=args.alpha, phi0=0.0, dt=args.dt)
+    osc = OscillatorConfig(duty_alpha=args.alpha, dt=args.dt)
     report = entropy.bandwidth_report(mix, osc)
     if args.curves:
         grid, biases, entr = entropy.bias_entropy_curve(args.alpha)
@@ -389,7 +391,7 @@ def _cmd_entropy(args) -> int:
 def _cmd_bandwidth(args) -> int:
     mix = _mixture_from_args(args)
     dt = entropy.solve_min_dt(mix, args.alpha, args.target, dt_min=args.dt_min)
-    osc = OscillatorConfig(f0=args.f0, duty_alpha=args.alpha, phi0=0.0, dt=dt)
+    osc = OscillatorConfig(duty_alpha=args.alpha, dt=dt)
     report = entropy.bandwidth_report(mix, osc)
     payload = {"dt": dt, "target": args.target, "report": _report_payload(report)}
     _emit(_json(payload), args.out)
@@ -453,8 +455,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1, help="paths to draw, grid mode (default 1)")
     p.add_argument("--samples", type=int, help="trace length; switches to trace mode")
     p.add_argument("--dt", type=float, help="sample interval (s), trace mode")
-    p.add_argument("--oversample", type=int, default=8,
-                   help="fine-grid factor of the trace generator (default 8)")
     p.add_argument("--f0", type=float, help="nominal frequency recorded in the header (Hz)")
     p.add_argument("--seed", type=int, required=True, help="PCG64 seed")
     p.add_argument("--out", help="output file (default stdout)")
@@ -489,7 +489,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mixture_flags(p)
     p.add_argument("--dt", type=float, required=True, help="sampling interval (s)")
     p.add_argument("--alpha", type=float, default=0.5, help="duty cycle (default 0.5)")
-    p.add_argument("--f0", type=float, default=1.0, help="nominal frequency (metadata only)")
     p.add_argument("--curves", help="also write bias/entropy vs sigma^2 CSV here")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_entropy)
@@ -499,7 +498,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--target", type=float, required=True, help="target min-entropy (bits)")
     p.add_argument("--dt-min", type=float, default=1e-12)
-    p.add_argument("--f0", type=float, default=1.0)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bandwidth)
 

@@ -38,7 +38,6 @@ __all__ = [
     "component_variances",
     "cross_covariance",
     "correlation",
-    "mixture_variance",
     "simulate",
     "simulate_trace",
     "variance",
@@ -115,21 +114,16 @@ class NoiseMixture:
 
 @dataclass(frozen=True)
 class OscillatorConfig:
-    """Sampled-oscillator parameters: nominal frequency f0 (Hz), duty cycle
-    alpha in (0, 1), initial phase offset phi0 (rad), sampling interval
-    dt (s)."""
+    """What the security report needs of a sampled oscillator: its duty
+    cycle alpha in (0, 1) and its sampling interval dt (s)."""
 
-    f0: float
     duty_alpha: float
-    phi0: float
     dt: float
 
     def __post_init__(self):
-        vals = (self.f0, self.duty_alpha, self.phi0, self.dt)
+        vals = (self.duty_alpha, self.dt)
         if not all(math.isfinite(v) for v in vals):
             raise DomainError(f"oscillator parameters must be finite, got {vals}")
-        if self.f0 <= 0:
-            raise DomainError(f"f0 must be positive, got {self.f0}")
         if not 0.0 < self.duty_alpha < 1.0:
             raise DomainError(f"duty cycle must lie strictly in (0, 1), got {self.duty_alpha}")
         if self.dt <= 0:
@@ -242,12 +236,6 @@ def component_variances(mix: NoiseMixture, t: float) -> list[float]:
     """c_H^2 Var(phi^H_t) of each component at time t, in rad^2, in the
     order of ``mix.components``."""
     return [c * c * variance(hurst, t) for hurst, c in mix.components]
-
-
-def mixture_variance(mix: NoiseMixture, t: float) -> float:
-    """Variance of the mixture at time t: the sum of its
-    ``component_variances``, in component order."""
-    return sum(component_variances(mix, t))
 
 
 def _row_blocks(n: int):

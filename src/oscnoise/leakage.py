@@ -23,34 +23,26 @@ Both import ``scipy.linalg`` for ``cho_solve`` on first use, so that
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import fbm
 from .errors import DomainError
 from .fbm import NoiseMixture, TimeGrid, _as_hurst
 
-__all__ = [
-    "conditional_covariance",
-    "conditional_variance",
-    "discrete_posterior",
-    "renewal_sample",
-]
+__all__ = ["conditional_variance", "discrete_posterior", "renewal_sample"]
 
 
 def conditional_variance(mix: NoiseMixture, gap_tau: float) -> float:
     """Var of the mixture phase given its full past, gap_tau after the last
-    observation; components add independently."""
+    observation: the sum of ``fbm.component_variances`` at gap_tau, since
+    components add independently."""
+    if not math.isfinite(gap_tau):
+        raise DomainError(f"gap must be finite, got {gap_tau}")
     if gap_tau <= 0:
         raise DomainError(f"gap must be positive, got {gap_tau}")
-    return fbm.mixture_variance(mix, gap_tau)
-
-
-def conditional_covariance(h, t: float, s: float, t0: float) -> float:
-    """Cov(phi_t, phi_s | phi_{<=t0}) = Cov(phi_{t-t0}, phi_{s-t0}) for
-    t >= s > t0 >= 0."""
-    if not (t >= s > t0 >= 0):
-        raise DomainError(f"need t >= s > t0 >= 0, got ({t}, {s}, {t0})")
-    return fbm.covariance(h, t - t0, s - t0)
+    return sum(fbm.component_variances(mix, gap_tau))
 
 
 def _condition(h, observed_times: TimeGrid | None, observations, first_target: float):
@@ -83,19 +75,15 @@ def discrete_posterior(
     observed_times: TimeGrid | None,
     target_t: float,
     observations,
-    drift: tuple[float, float] | None = None,
 ) -> tuple[float, float]:
     """Gaussian conditional (mean, variance) of phi_{target} given finitely
     many observed samples.
 
     The variance is a Schur complement and never touches the observed
     values, so it is bit-for-bit identical across observation vectors.
-    ``drift=(a, b)`` declares a known deterministic component a + b*t in
-    the observations; it is removed before conditioning and a + b*target
-    is added back to the mean, so a modelled drift passes through exactly
-    and leaves the variance untouched.  (With the zero-mean model, an
-    unmodelled drift in the data is simply projected like any other
-    observation, which is not the same thing.)
+    The model has zero mean: a drift in the data is projected like any
+    other observation, so a caller who knows a deterministic component
+    subtracts it from the observations and adds it back to the mean.
 
     The history is checked and factored by the same conditioning step as
     :func:`renewal_sample`: one observation per time, the target after
@@ -111,12 +99,7 @@ def discrete_posterior(
     y, cf = system
     k = fbm.cross_covariance(h, observed_times.points, target_t)
     alpha = scipy.linalg.cho_solve(cf, k)
-    var = fbm.variance(h, target_t) - float(k @ alpha)
-    if drift is not None:
-        a, b = drift
-        y = y - (a + b * observed_times.points)
-        return float(y @ alpha) + a + b * target_t, var
-    return float(y @ alpha), var
+    return float(y @ alpha), fbm.variance(h, target_t) - float(k @ alpha)
 
 
 def renewal_sample(

@@ -31,6 +31,20 @@ def mp_hyp1f2(a: float, b1: float, b2: float, x: float, dps: int = 60) -> float:
         return float(mp.hyp1f2(a, b1, b2, x))
 
 
+def oscillation_envelope(h: float, t: float, omega: float) -> float:
+    """Amplitude of the leading oscillation of S(t, w) around omega^-(2H+1).
+
+    The instantaneous spectrum behaves like
+
+        omega^-(2H+1) [1 + (t w)^(H-1/2) sin(2 t w - H pi/2 - pi/4)
+                           / Gamma(H+1/2) + O((t w)^(H-3/2))]
+
+    (exact for H = 1/2, where it collapses to (1 - cos 2tw)/w^2); this
+    returns the relative envelope (t w)^(H-1/2) / Gamma(H+1/2).
+    """
+    return (t * omega) ** (h - 0.5) / math.gamma(h + 0.5)
+
+
 def mp_avar_constant(h: float) -> float:
     """Reference C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1) at 50 digits."""
     with mp.workdps(50):

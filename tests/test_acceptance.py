@@ -215,7 +215,7 @@ def test_c09_bandwidth_monotone_and_inverse_consistent():
     for name, mix in mixtures.items():
         prev = -1.0
         for dt in np.logspace(-3, 1, 50):
-            osc = OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=float(dt))
+            osc = OscillatorConfig(duty_alpha=0.5, dt=float(dt))
             ent = entropy.bandwidth_report(mix, osc).min_entropy_bits
             assert ent >= prev - 1e-12, name
             prev = ent
@@ -223,7 +223,7 @@ def test_c09_bandwidth_monotone_and_inverse_consistent():
     for name, mix in mixtures.items():
         for target in (0.3, 0.9):
             dt = entropy.solve_min_dt(mix, 0.5, target)
-            osc = OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=dt)
+            osc = OscillatorConfig(duty_alpha=0.5, dt=dt)
             got = entropy.bandwidth_report(mix, osc).min_entropy_bits
             worst = max(worst, abs(got - target))
             assert got >= target - 1e-4

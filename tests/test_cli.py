@@ -505,6 +505,44 @@ class TestDispatch:
         captured = capsys.readouterr()
         assert captured.err == f"oscnoise: error: gap must be positive, got {float(gap)}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("--t0 1 --t1 2 --n -1", "--n must be >= 1, got -1"),
+            ("--t0 1 --t1 2 --n 0", "--n must be >= 1, got 0"),
+            ("--t0 1 --t1 inf --n 4", "--t0 and --t1 must be finite, got (1.0, inf)"),
+            ("--t0 nan --t1 2 --n 4", "--t0 and --t1 must be finite, got (nan, 2.0)"),
+        ],
+    )
+    def test_bad_grid_flags_exit_one(self, capsys, argv, message):
+        # checked before np.linspace, which raises or warns on these
+        assert dispatch(f"simulate --hurst 0.7 {argv} --seed 1".split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"oscnoise: error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                "spectrum --hurst 1 --time nan --omega-min 1 --omega-max 10",
+                "t and omega must be positive and finite",
+            ),
+            (
+                "spectrum --hurst 1 --avg-time inf --omega-min 1 --omega-max 10",
+                "T and omega must be positive and finite",
+            ),
+            ("leakage --c-white 1 --gap nan", "gap must be finite, got nan"),
+            ("leakage --c-white 1 --gap inf", "gap must be finite, got inf"),
+        ],
+    )
+    def test_non_finite_time_exit_one(self, capsys, argv, message):
+        # each function names its own argument, not that of a function it calls
+        assert dispatch(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"oscnoise: error: {message}")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+
     def test_grid_f0_in_header(self, capsys):
         argv = "simulate --hurst 1 --t0 1 --t1 2 --n 4 --seed 1 --f0 2.5".split()
         assert dispatch(argv) == 0
@@ -562,7 +600,7 @@ class TestDispatch:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         mix = NoiseMixture.white_flicker(1.0, 0.5)
-        osc = OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=1e-6)
+        osc = OscillatorConfig(duty_alpha=0.5, dt=1e-6)
         ref = entropy.bandwidth_report(mix, osc)
         assert payload["sigma2"] == pytest.approx(ref.sigma2, rel=1e-12)
         assert payload["bias"] == pytest.approx(ref.bias, rel=1e-9)

