@@ -20,7 +20,7 @@ import importlib
 
 from . import allan, entropy, fbm, leakage, specfun, spectrum
 from .allan import AllanCurve, FitResult, PhaseTrace
-from .entropy import SecurityReport, WrappedGaussian
+from .entropy import SecurityReport
 from .errors import (
     ConvergenceError,
     DecompositionError,
@@ -30,7 +30,7 @@ from .errors import (
     OscNoiseError,
     TraceFormatError,
 )
-from .fbm import HurstExponent, NoiseMixture, OscillatorConfig, TimeGrid
+from .fbm import HurstExponent, NoiseMixture, TimeGrid
 from .specfun import Tolerance
 
 __version__ = "0.1.0"
@@ -46,13 +46,11 @@ __all__ = [
     "NoSolutionError",
     "NoiseMixture",
     "OscNoiseError",
-    "OscillatorConfig",
     "PhaseTrace",
     "SecurityReport",
     "TimeGrid",
     "Tolerance",
     "TraceFormatError",
-    "WrappedGaussian",
     "allan",
     "cli",
     "entropy",

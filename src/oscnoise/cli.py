@@ -28,7 +28,7 @@ import numpy as np
 from . import allan, entropy, fbm, leakage, spectrum
 from .allan import PhaseTrace
 from .errors import DomainError, OscNoiseError, TraceFormatError
-from .fbm import NoiseMixture, OscillatorConfig, TimeGrid
+from .fbm import NoiseMixture, TimeGrid
 
 __all__ = ["PhaseTrace", "dispatch", "main", "read_trace", "write_trace"]
 
@@ -267,7 +267,13 @@ def _cmd_simulate(args) -> int:
     mix = _mixture_from_args(args)
     if args.f0 is not None and not (args.f0 > 0 and math.isfinite(args.f0)):
         raise DomainError(f"--f0 must be positive and finite, got {args.f0}")
-    if args.samples is not None:
+    trace_mode = args.samples is not None
+    other_mode = ("t0", "t1", "n", "paths") if trace_mode else ("dt",)
+    given = [f"--{name}" for name in other_mode if getattr(args, name) is not None]
+    if given:
+        mode = "trace mode (--samples)" if trace_mode else "grid mode"
+        raise DomainError(f"{mode} does not take {', '.join(given)}")
+    if trace_mode:
         if args.dt is None:
             raise DomainError("trace mode needs --dt")
         samples = fbm.simulate_trace(mix, args.samples, args.dt, args.seed)
@@ -287,14 +293,15 @@ def _cmd_simulate(args) -> int:
         raise DomainError("need 0 < t0 < t1")
     if args.n < 1:
         raise DomainError(f"--n must be >= 1, got {args.n}")
+    n_paths = 1 if args.paths is None else args.paths
     grid = TimeGrid(np.linspace(args.t0, args.t1, args.n))
-    paths = fbm.simulate(mix, grid, args.paths, args.seed)
+    paths = fbm.simulate(mix, grid, n_paths, args.seed)
     dt = (args.t1 - args.t0) / (args.n - 1) if args.n > 1 else args.t1 - args.t0
     header = f"# dt={dt!r} t0={args.t0!r}" + (f" f0={args.f0!r}" if args.f0 is not None else "")
     with _output(args.out) as fh:
-        fh.write(f"{header}\n# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={args.paths}\n")
+        fh.write(f"{header}\n# rng={fbm.RNG_ALGORITHM} seed={args.seed} paths={n_paths}\n")
         # in blocks of rows, so the text of the whole matrix never exists
-        step = max(1, _WRITE_BLOCK // args.paths)
+        step = max(1, _WRITE_BLOCK // n_paths)
         for start in range(0, len(paths), step):
             rows = paths[start : start + step].tolist()
             fh.write("\n".join(",".join(map(repr, row)) for row in rows) + "\n")
@@ -345,18 +352,8 @@ def _cmd_leakage(args) -> int:
         {"hurst": hurst.h, "coeff": coeff, "contribution": part}
         for (hurst, coeff), part in zip(mix.components, parts)
     ]
-    if args.csv:
-        lines = ["hurst,coeff,contribution"]
-        lines += [
-            f"{c['hurst']!r},{c['coeff']!r},{c['contribution']!r}" for c in components
-        ]
-        lines.append(f"total,,{variance!r}")
-        _emit("\n".join(lines), args.out)
-    else:
-        payload = {
-            "gap_tau": args.gap, "conditional_variance": variance, "components": components
-        }
-        _emit(_json(payload), args.out)
+    payload = {"gap_tau": args.gap, "conditional_variance": variance, "components": components}
+    _emit(_json(payload), args.out)
     return 0
 
 
@@ -374,8 +371,7 @@ def _report_payload(report: entropy.SecurityReport) -> dict:
 
 def _cmd_entropy(args) -> int:
     mix = _mixture_from_args(args)
-    osc = OscillatorConfig(duty_alpha=args.alpha, dt=args.dt)
-    report = entropy.bandwidth_report(mix, osc)
+    report = entropy.bandwidth_report(mix, args.alpha, args.dt)
     if args.curves:
         grid, biases, entr = entropy.bias_entropy_curve(args.alpha)
         lines = ["sigma2,bias,min_entropy_bits"]
@@ -390,9 +386,8 @@ def _cmd_entropy(args) -> int:
 
 def _cmd_bandwidth(args) -> int:
     mix = _mixture_from_args(args)
-    dt = entropy.solve_min_dt(mix, args.alpha, args.target, dt_min=args.dt_min)
-    osc = OscillatorConfig(duty_alpha=args.alpha, dt=dt)
-    report = entropy.bandwidth_report(mix, osc)
+    dt = entropy.solve_min_dt(mix, args.alpha, args.target)
+    report = entropy.bandwidth_report(mix, args.alpha, dt)
     payload = {"dt": dt, "target": args.target, "report": _report_payload(report)}
     _emit(_json(payload), args.out)
     return 0
@@ -452,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t0", type=float, help="grid start time (s), grid mode")
     p.add_argument("--t1", type=float, help="grid end time (s), grid mode")
     p.add_argument("--n", type=int, help="number of grid points, grid mode")
-    p.add_argument("--paths", type=int, default=1, help="paths to draw, grid mode (default 1)")
+    p.add_argument("--paths", type=int, help="paths to draw, grid mode (default 1)")
     p.add_argument("--samples", type=int, help="trace length; switches to trace mode")
     p.add_argument("--dt", type=float, help="sample interval (s), trace mode")
     p.add_argument("--f0", type=float, help="nominal frequency recorded in the header (Hz)")
@@ -481,7 +476,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leakage", help="conditional variance after full-history leakage")
     _add_mixture_flags(p)
     p.add_argument("--gap", type=float, required=True, help="time since last observation (s)")
-    p.add_argument("--csv", action="store_true", help="emit CSV instead of JSON")
     p.add_argument("--out")
     p.set_defaults(func=_cmd_leakage)
 
@@ -497,7 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_mixture_flags(p)
     p.add_argument("--alpha", type=float, default=0.5)
     p.add_argument("--target", type=float, required=True, help="target min-entropy (bits)")
-    p.add_argument("--dt-min", type=float, default=1e-12)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bandwidth)
 
@@ -518,9 +511,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def dispatch(argv) -> int:
-    """Run one CLI invocation; exit code 0 on success, 1 on domain errors
-    and on output files that cannot be opened or written, 2 on usage
-    errors.
+    """Run one CLI invocation; exit code 0 on success, 1 on domain errors,
+    on output files that cannot be opened or written and on running out
+    of memory, 2 on usage errors.
 
     Errors with exit code 1 print one ``oscnoise: error:`` line to
     stderr; for an I/O error it reads ``<path>: <reason>``.
@@ -537,6 +530,9 @@ def dispatch(argv) -> int:
     except OSError as exc:
         reason = f"{exc.filename}: {exc.strerror or exc}" if exc.filename else exc
         print(f"oscnoise: error: {reason}", file=sys.stderr)
+    except MemoryError as exc:
+        # as from a grid too large for its covariance matrix
+        print(f"oscnoise: error: {str(exc) or 'out of memory'}", file=sys.stderr)
     return 1
 
 

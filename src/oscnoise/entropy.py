@@ -28,8 +28,10 @@ summed for sigma^2 >= 2, and the sum over Gaussian images
 
     sum_k [Phi((amax pi + 2 pi k)/sigma) - Phi((-amax pi + 2 pi k)/sigma)],
 
-summed below; both are ``specfun.wrapped_gaussian``.  Min-entropy of the
-bit is -log2(1/2 + eps).
+summed below; both are ``specfun.wrapped_gaussian``, the package's one
+wrapped-Gaussian kernel, which also gives the density above.  Min-entropy
+of the bit is -log2(1/2 + eps).  The security calls take plain numbers:
+a mixture, the duty cycle alpha and the sampling interval dt.
 """
 
 from __future__ import annotations
@@ -41,33 +43,21 @@ import numpy as np
 
 from . import fbm, leakage, specfun
 from .errors import DomainError, NoSolutionError
-from .fbm import NoiseMixture, OscillatorConfig
+from .fbm import NoiseMixture
 
 __all__ = [
     "SecurityReport",
-    "WrappedGaussian",
     "bandwidth_report",
     "bias",
     "bias_entropy_curve",
     "min_entropy",
     "solve_min_dt",
-    "wrapped_gaussian_pdf",
 ]
 
-@dataclass(frozen=True)
-class WrappedGaussian:
-    """Gaussian with mean mu (rad) and variance sigma2 (rad^2), reduced
-    modulo period_r."""
-
-    mu: float
-    sigma2: float
-    period_r: float
-
-    def __post_init__(self):
-        if self.sigma2 <= 0 or not math.isfinite(self.sigma2):
-            raise DomainError(f"sigma2 must be positive, got {self.sigma2}")
-        if self.period_r <= 0 or not math.isfinite(self.period_r):
-            raise DomainError(f"period must be positive, got {self.period_r}")
+# solve_min_dt's smallest interval, returned for a zero target, and the
+# relative width of its final bracket
+_DT_MIN = 1e-12
+_REL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -83,19 +73,6 @@ class SecurityReport:
     bias: float
     min_entropy_bits: float
     per_component: tuple[tuple[float, float], ...]
-
-
-def wrapped_gaussian_pdf(wg: WrappedGaussian, y: float) -> float:
-    """Density of the wrapped Gaussian at y in [0, r).
-
-    The unit-period ``specfun.wrapped_gaussian`` at (mu - y) / r with
-    variance sigma2 / r^2, divided by r; equal to
-    theta_3(pi (mu - y) / r | exp(-2 pi^2 sigma2 / r^2)) / r.
-    """
-    r = wg.period_r
-    if not 0.0 <= y < r:
-        raise DomainError(f"y must lie in [0, {r}), got {y}")
-    return float(specfun.wrapped_gaussian((wg.mu - y) / r, wg.sigma2 / (r * r))) / r
 
 
 def bias(sigma2, alpha: float):
@@ -134,55 +111,52 @@ def min_entropy(sigma2, alpha: float):
     return _entropy_bits(bias(sigma2, alpha))
 
 
-def bandwidth_report(mix: NoiseMixture, osc: OscillatorConfig) -> SecurityReport:
-    """Per-bit security of sampling at interval dt.
+def bandwidth_report(mix: NoiseMixture, alpha: float, dt: float) -> SecurityReport:
+    """Per-bit security of sampling bits of duty cycle alpha at interval dt (s).
 
     Successive bits are separated by dt; conditioned on everything an
     attacker saw before, the leftover phase variance is the full-history
     conditional variance at gap dt, which sets the bias and min-entropy;
-    ``per_component`` is its split, ``fbm.component_variances``.
+    ``per_component`` is its split, ``fbm.component_variances``.  A
+    non-finite alpha or dt, an alpha outside (0, 1) or a dt <= 0 raises
+    ``DomainError``.
     """
-    parts = fbm.component_variances(mix, osc.dt)
+    if not (math.isfinite(alpha) and math.isfinite(dt)):
+        raise DomainError(f"oscillator parameters must be finite, got {(alpha, dt)}")
+    if not 0.0 < alpha < 1.0:
+        raise DomainError(f"duty cycle must lie strictly in (0, 1), got {alpha}")
+    if dt <= 0:
+        raise DomainError(f"dt must be positive, got {dt}")
+    parts = fbm.component_variances(mix, dt)
     sigma2 = sum(parts)
-    eps = bias(sigma2, osc.duty_alpha)
+    eps = bias(sigma2, alpha)
     hursts = [hurst.h for hurst, _ in mix.components]
     return SecurityReport(
         sigma2=sigma2,
-        duty_alpha=osc.duty_alpha,
+        duty_alpha=alpha,
         bias=eps,
         min_entropy_bits=_entropy_bits(eps),
         per_component=tuple(zip(hursts, parts)),
     )
 
 
-def solve_min_dt(
-    mix: NoiseMixture,
-    alpha: float,
-    target_entropy: float,
-    dt_min: float = 1e-12,
-    rel_tol: float = 1e-6,
-) -> float:
+def solve_min_dt(mix: NoiseMixture, alpha: float, target_entropy: float) -> float:
     """Smallest sampling interval achieving the target min-entropy.
 
     Entropy is monotone in dt (more time, more accumulated noise), so a
-    bracket-and-bisect on dt suffices.  The achievable supremum is
+    bracket-and-bisect on dt suffices, down to a bracket 1e-6 of its upper
+    end wide; dt is never below 1e-12 s, which a target of zero (any
+    interval works) returns too.  The achievable supremum is
     -log2(1/2 + |alpha - 1/2|) -- one bit only for a symmetric duty
     cycle; targets at or above the supremum raise ``NoSolutionError``.
-    A target of zero is degenerate (any interval works) and returns
-    ``dt_min``.  A target that is negative or not finite, a ``dt_min``
-    that is not positive and finite, or a ``rel_tol`` outside (0, 1)
-    raises ``DomainError``.
+    A target that is negative or not finite raises ``DomainError``.
     """
     if not 0.0 < alpha < 1.0:
         raise DomainError(f"duty cycle must lie in (0, 1), got {alpha}")
     if not 0.0 <= target_entropy < math.inf:
         raise DomainError(f"target entropy must be finite and >= 0, got {target_entropy}")
-    if not 0.0 < dt_min < math.inf:
-        raise DomainError(f"dt_min must be positive and finite, got {dt_min}")
-    if not 0.0 < rel_tol < 1.0:
-        raise DomainError(f"rel_tol must lie in (0, 1), got {rel_tol}")
     if target_entropy == 0.0:
-        return dt_min
+        return _DT_MIN
     cap = -math.log2(0.5 + abs(alpha - 0.5))
     if target_entropy >= cap:
         raise NoSolutionError(
@@ -201,14 +175,12 @@ def solve_min_dt(
         if hi > 1e30:
             raise NoSolutionError("no finite interval reaches the target")
     lo = hi
-    while lo > dt_min and entropy_at(lo) >= target_entropy:
+    while lo > _DT_MIN and entropy_at(lo) >= target_entropy:
         lo /= 8.0
-    if lo <= dt_min:
-        return dt_min
-    while (hi - lo) > rel_tol * hi:
+    if lo <= _DT_MIN:
+        return _DT_MIN
+    while (hi - lo) > _REL_TOL * hi:
         mid = math.sqrt(lo * hi)
-        if not lo < mid < hi:
-            break  # lo and hi are adjacent doubles: rel_tol is below their spacing
         if entropy_at(mid) >= target_entropy:
             hi = mid
         else:
@@ -216,18 +188,14 @@ def solve_min_dt(
     return hi
 
 
-def bias_entropy_curve(
-    alpha: float, sigma2_grid=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sigma2, bias, min-entropy) arrays over a variance grid.
+def bias_entropy_curve(alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sigma2, bias, min-entropy) arrays over 60 variances on [0.01, 20],
+    geometrically spaced.
 
-    Defaults to 60 points on [0.01, 20], geometrically spaced.  The bias is the
-    closed-form window mass of ``bias``, one vectorised call over the
-    grid: the Gaussian image sum below sigma2 = 2 and the theta series
-    from there on.
+    The bias is the closed-form window mass of ``bias``, one vectorised
+    call over the grid: the Gaussian image sum below sigma2 = 2 and the
+    theta series from there on.
     """
-    if sigma2_grid is None:
-        sigma2_grid = np.logspace(math.log10(0.01), math.log10(20.0), 60)
-    grid = np.asarray(sigma2_grid, dtype=float)
+    grid = np.logspace(math.log10(0.01), math.log10(20.0), 60)
     biases = bias(grid, alpha)
     return grid, biases, _entropy_bits(biases)

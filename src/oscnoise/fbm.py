@@ -29,7 +29,6 @@ from .errors import DecompositionError, DomainError
 __all__ = [
     "HurstExponent",
     "NoiseMixture",
-    "OscillatorConfig",
     "TimeGrid",
     "RNG_ALGORITHM",
     "covariance",
@@ -110,24 +109,6 @@ class NoiseMixture:
     def white_flicker(cls, c_white: float, c_flicker: float) -> "NoiseMixture":
         """The two-component model used for calibration: H = 1/2 and H = 1."""
         return cls.from_pairs([(0.5, c_white), (1.0, c_flicker)])
-
-
-@dataclass(frozen=True)
-class OscillatorConfig:
-    """What the security report needs of a sampled oscillator: its duty
-    cycle alpha in (0, 1) and its sampling interval dt (s)."""
-
-    duty_alpha: float
-    dt: float
-
-    def __post_init__(self):
-        vals = (self.duty_alpha, self.dt)
-        if not all(math.isfinite(v) for v in vals):
-            raise DomainError(f"oscillator parameters must be finite, got {vals}")
-        if not 0.0 < self.duty_alpha < 1.0:
-            raise DomainError(f"duty cycle must lie strictly in (0, 1), got {self.duty_alpha}")
-        if self.dt <= 0:
-            raise DomainError(f"dt must be positive, got {self.dt}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -23,7 +23,8 @@ hypergeometric routine could use:
   its variance v: its density and the mass of a centred window, from the
   theta series in q = exp(-2 pi^2 v) for v >= 1/(2 pi^2) and from the sum
   over Gaussian images below, each converging in a few terms on its side.
-  ``theta3(z | q)`` is its density at z/pi with v = -ln(q)/(2 pi^2).
+  Its density at x is the Jacobi theta_3(pi x | q); it is the package's
+  one wrapped-Gaussian entry.
 
 All functions are pure and safe to call from multiple threads.
 ``scipy.special`` is imported inside the two functions that call it, the
@@ -46,7 +47,6 @@ __all__ = [
     "Hyp1F2Result",
     "hyp1f2",
     "hyp2f1_curve",
-    "theta3",
     "wrapped_gaussian",
 ]
 
@@ -436,7 +436,7 @@ def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, fl
 
 
 # ---------------------------------------------------------------------------
-# Jacobi theta-3 and the wrapped Gaussian
+# the wrapped Gaussian
 # ---------------------------------------------------------------------------
 
 
@@ -513,18 +513,3 @@ def _wrapped_images(x: np.ndarray, v: np.ndarray, n_images: int, mass: bool) -> 
     k = np.arange(-n_images, n_images + 1, dtype=float)
     u = ((x - np.rint(x))[:, None] - k) / sd[:, None]
     return np.sum(np.exp(-0.5 * u * u), axis=1) / (sd * _SQRT_2PI)
-
-
-def theta3(z: float, q: float, tol: Tolerance | None = None) -> float:
-    """theta_3(z | q) = 1 + 2 sum q^(n^2) cos(2nz), 0 <= q < 1.
-
-    The ``wrapped_gaussian`` density at z/pi with unit-period variance
-    v = -ln(q)/(2 pi^2); nomes above 1/e take its image sum, which
-    converges in a couple of terms exactly where the theta series stalls.
-    """
-    if not (0.0 <= q < 1.0) or not math.isfinite(z):
-        raise DomainError(f"need 0 <= q < 1 and finite z, got q={q}, z={z}")
-    if q == 0.0:
-        return 1.0
-    return float(wrapped_gaussian(z / math.pi, -math.log(q) / (2.0 * math.pi**2), tol))
-

@@ -6,7 +6,8 @@ the lag variable, and its running time average converges to the pure
 power law omega^-(2H+1).  Both are evaluated through closed forms in the
 restricted 1F2 families of :mod:`oscnoise.specfun`; no numerical Fourier
 transform is performed outside the test suite.  Times and angular
-frequencies must be positive and finite.
+frequencies must be positive and finite, and their product at most 5e14,
+beyond which the Bessel closed form loses its phase.
 
 For H > 1/2 the instantaneous spectrum oscillates around the power law
 with an envelope that grows like (t*omega)^(H-1/2), and takes negative
@@ -37,6 +38,17 @@ class SpectrumPoint:
     branch: str
 
 
+def _scaled_frequency(name: str, t: float, omega: float) -> float:
+    # t * omega, checked here so that an error names the spectrum's own
+    # arguments rather than the 1F2 argument built from them
+    if not (0.0 < t < math.inf and 0.0 < omega < math.inf):
+        raise DomainError(f"{name} and omega must be positive and finite, got ({t}, {omega})")
+    x = t * omega
+    if not x <= specfun._HYP1F2_S_MAX:
+        raise DomainError(f"{name}*omega = {x} exceeds {specfun._HYP1F2_S_MAX}")
+    return x
+
+
 def instantaneous(h, t: float, omega: float) -> SpectrumPoint:
     """Instantaneous spectrum of a single component at time t.
 
@@ -44,9 +56,7 @@ def instantaneous(h, t: float, omega: float) -> SpectrumPoint:
                   / Gamma(2H+2)
     """
     h = _as_hurst(h).h
-    if not (0.0 < t < math.inf and 0.0 < omega < math.inf):
-        raise DomainError(f"t and omega must be positive and finite, got ({t}, {omega})")
-    x = t * omega
+    x = _scaled_frequency("t", t, omega)
     res = specfun.hyp1f2(h + 0.5, h + 1.0, h + 1.5, -x * x)
     value = 2.0 ** (2.0 * h + 1.0) * t ** (2.0 * h + 1.0) * res.value / math.gamma(
         2.0 * h + 2.0
@@ -66,9 +76,7 @@ def time_averaged(h, T: float, omega: float) -> SpectrumPoint:
     of order (T omega)^(H-3/2).
     """
     h = _as_hurst(h).h
-    if not (0.0 < T < math.inf and 0.0 < omega < math.inf):
-        raise DomainError(f"T and omega must be positive and finite, got ({T}, {omega})")
-    x = T * omega
+    x = _scaled_frequency("T", T, omega)
     res = specfun.hyp1f2(h + 0.5, h + 1.5, h + 2.0, -x * x)
     value = 2.0 ** (2.0 * h + 1.0) * T ** (2.0 * h + 1.0) * res.value / math.gamma(
         2.0 * h + 3.0

