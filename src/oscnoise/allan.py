@@ -214,8 +214,11 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     are subtracted.  The sum over all windows is (sum w)(sum y) = 0, so
     the sum of the d_n is minus that of the partial windows.  Rounding
     can leave a near-constant trace's variance just below zero; it is
-    clamped to 0.  Cost: one FFT of the trace plus O(m) per lag m, so it
-    barely grows with the number of lags.
+    clamped to 0.  A lag with fewer full windows than partial ones,
+    count < 2 (2m - 1), would lose most digits to that subtraction, so
+    its d_n are summed directly from the prefix sums of y.  Cost: one FFT
+    of the trace plus O(m) per lag m, so it barely grows with the number
+    of lags.
     """
     x = np.asarray(trace.samples, dtype=float)
     ms = [int(m) for m in lags]
@@ -239,6 +242,9 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     # prefix sums of the first and of the last (reversed) span increments
     head = np.concatenate(([0.0], np.cumsum(y[:span])))
     tail = np.concatenate(([0.0], np.cumsum(y[: -span - 1 : -1])))
+    # prefix sums of all increments, for lags with fewer full windows than
+    # partial ones (a trace shorter than about 6 max(lags))
+    whole = np.concatenate(([0.0], np.cumsum(y))) if x.size < 6 * mmax - 2 else None
     # numpy's FFT: scipy.fft left about 17 MB resident after a 1e6-sample call
     spec = np.fft.rfft(padded)
     del padded, y
@@ -252,6 +258,13 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     counts = x.size - 2 * np.array(ms, dtype=np.int64)
     variances, means = np.empty(len(ms)), np.empty(len(ms))
     for i, m in enumerate(ms):
+        if counts[i] < 2 * (2 * m - 1):
+            # subtracting the partial windows would cancel most digits of
+            # so few full ones; they are summed directly, at O(m) cost
+            d = whole[2 * m :] - 2.0 * whole[m:-m] + whole[: -2 * m]
+            variances[i] = (d @ d) / counts[i]
+            means[i] = d.sum() / counts[i]
+            continue
         k = np.arange(1, 2 * m)
         below = np.maximum(m - k, 0)
         weights = 2.0 * (2.0 * below - np.minimum(k, 2 * m - k))

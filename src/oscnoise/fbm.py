@@ -11,9 +11,12 @@ covariance of a single component is
                         / (Gamma(H+1/2)^2 (2H+1)),      s <= t,
 
 with Var(phi_t) = t^(2H) / (2H Gamma(H+1/2)^2).  Exact simulation on an
-arbitrary grid goes through a Cholesky factor of that covariance;
-calibration-length traces on uniform grids use a moving-average
-discretisation of the defining integral (see ``simulate_trace``).
+arbitrary grid goes through a Cholesky factor of that covariance.
+Calibration-length traces on uniform grids are drawn through the law of
+their second differences, the only part of a trace the Allan statistic
+sees: the stationary t -> infinity limit of the model, drawn exactly by
+circulant embedding in O(n log n) time and O(n) memory, with the affine
+part that second differences do not see pinned (see ``simulate_trace``).
 """
 
 from __future__ import annotations
@@ -143,7 +146,11 @@ def variance(h, t: float) -> float:
         raise DomainError(f"time must be >= 0, got {t}")
     if t == 0.0:
         return 0.0
-    return t ** (2.0 * h) / (2.0 * h * math.gamma(h + 0.5) ** 2)
+    try:
+        power = t ** (2.0 * h)
+    except OverflowError:
+        raise DomainError(f"time {t} too large: t^(2H) overflows at H = {h}") from None
+    return power / (2.0 * h * math.gamma(h + 0.5) ** 2)
 
 
 def cross_covariance(model, s, t) -> np.ndarray:
@@ -332,76 +339,186 @@ def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     return L @ rng.standard_normal((len(grid), n_paths))
 
 
-def _ma_kernel(h: float, j: np.ndarray, dt_fine: float) -> np.ndarray:
-    # cell weights of the moving-average discretisation at fine lags j;
-    # chosen so the one-point variance of the discrete process is exact at
-    # every sample
-    incr = (j + 1.0) ** (2.0 * h) - j ** (2.0 * h)
-    return dt_fine**h * np.sqrt(incr / (2.0 * h)) / math.gamma(h + 0.5)
+# lags from which _diff_autocovariance sums the central-difference series
+# instead of the finite stencil, and where its second, shorter series
+# starts; each range takes the terms its smallest lag needs
+_SERIES_RANGES = (3, 64)
+
+# the circulant's eigenvalues are nonnegative in exact arithmetic (see
+# _embedded_draws); rounding left none below -5e-16 of the largest in those
+# checks, so anything below this bound is a genuine failure
+_EIGEN_RTOL = 1e-10
 
 
-def _decimated_moving_average(xi: np.ndarray, h: float, o: int, dt_fine: float) -> np.ndarray:
-    # outputs o*i + o-1 of the fine-grid causal sum sum_j g[j] xi[k - j],
-    # with g the kernel at j = 0 .. n*o - 1.  Writing j = o*q + r splits
-    # it into o causal convolutions of length n, g[r::o] with xi[o-1-r::o],
-    # whose spectra add before a single inverse FFT of length 2n
-    nf = xi.size
-    n = nf // o
-    npad = 1 << int(math.ceil(math.log2(2 * n)))
-    acc = np.zeros(npad // 2 + 1, dtype=complex)
-    for r in range(o):
-        part = np.fft.rfft(_ma_kernel(h, np.arange(r, nf, o, dtype=float), dt_fine), npad)
-        part *= np.fft.rfft(xi[o - 1 - r :: o], npad)
-        acc += part
-    return np.fft.irfft(acc, npad)[:n]
+def _diff_autocovariance(h: float, order: int, m: int) -> np.ndarray:
+    # autocovariance at lags 0..m of the lag-one differences of the given
+    # order (1 or 2) of the stationary-increment limit of phi^H, unit
+    # coefficient and dt = 1, scaled so that the second differences have
+    # variance C(H) of allan.avar_constant.  With G(t) = -|t|^(2H)/2
+    # (H < 1), +|t|^(2H)/2 (H > 1) or t^2 ln|t| (H = 1), the generalised
+    # covariance, it is (-1)^p delta^(2p) G for order p, delta the central
+    # difference.  delta^(2p) annihilates t^(2p-2), so every H differences
+    # f(t) = (t^(2H) - t^(2p-2)) / (2H - 2p + 2), which is continuous
+    # through H = 1 (t^2 ln t for p = 2), and the result is
+    # C(H) (-1)^p delta^(2p) f / delta^4 f(0).  The stencil cancels at large
+    # lags, so from lag 3 on delta^(2p) = sum_n>=p a_n D^(2n) is summed, with
+    # a_n = sum_j (-1)^j binom(2p, j) (p - j)^(2n) / (2n)! and
+    # D^(2n) f(k) = q_n k^(2H-2n), q_n the product of 2H - i over
+    # i = 0..2n-1 but i = 2p - 2.  Its terms share a sign and term n+1 is
+    # below (p/k)^2 of term n.  Stencil values that vanish as H tends to
+    # 1/2 (or, at lag 2 of p = 2, to 3/2) keep the rounding of gamma(0),
+    # not their own.  allan imports this module, hence the late imports
+    from .allan import avar_constant
+
+    x = 2.0 * h - 2 * order + 2
+
+    def f(t):
+        if t == 0:
+            return -1.0 / x if order == 1 else 0.0
+        log_t = math.log(t)
+        return t ** (2 * order - 2) * (math.expm1(x * log_t) / x if x else log_t)
+
+    def stencil(k, p):
+        return sum(
+            (-1) ** j * math.comb(2 * p, j) * f(abs(k + j - p)) for j in range(2 * p + 1)
+        )
+
+    gamma = np.empty(m + 1)
+    first = _SERIES_RANGES[0]
+    gamma[:first] = [stencil(k, order) for k in range(min(first, m + 1))]
+    edges = _SERIES_RANGES + (m + 1,)
+    for lo, hi in zip(edges, edges[1:]):
+        hi = min(hi, m + 1)
+        if lo >= hi:
+            break
+        terms = 1 + math.ceil(56.0 * math.log(2.0) / (2.0 * math.log(lo / order)))
+        coeffs = []
+        q = math.prod(2.0 * h - i for i in range(2 * order) if i != 2 * order - 2)
+        for n in range(order, order + terms):
+            a = sum(
+                (-1) ** j * math.comb(2 * order, j) * (order - j) ** (2 * n)
+                for j in range(2 * order + 1)
+            )
+            coeffs.append(a / math.factorial(2 * n) * q)
+            q *= (2.0 * h - 2 * n) * (2.0 * h - 2 * n - 1)
+        k = np.arange(lo, hi, dtype=float)
+        u = k**-2.0
+        acc = gamma[lo:hi]
+        acc[:] = coeffs[-1]
+        for c in reversed(coeffs[:-1]):
+            acc *= u
+            acc += c
+        acc *= np.power(k, 2.0 * h - 2 * order, out=k)
+    gamma *= (-1) ** order * avar_constant(h) / stencil(0, 2)
+    return gamma
 
 
-def simulate_trace(
-    mix: NoiseMixture,
-    n_samples: int,
-    dt: float,
-    seed: int,
-    oversample: int = 8,
-) -> np.ndarray:
+def _embedded_draws(h: float, order: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    # n stationary Gaussian lag-one differences of the given order with
+    # autocovariance _diff_autocovariance, by circulant embedding: the
+    # symmetric circulant of order 2m whose first row is gamma(0..m),
+    # gamma(m-1..1), with m >= n - 1, holds their covariance as its leading
+    # n x n block.  One real FFT gives its eigenvalues; Hermitian unit noise
+    # scaled by their square roots goes through one inverse real FFT.
+    # Where gamma(k) <= 0 at every lag k >= 1, every eigenvalue is at least
+    # the zero-frequency one, the sum of the row, and that is at least the
+    # sum of gamma over all lags, which is 0 (Craigmile 2003).  This holds
+    # for first differences at H < 1/2 and for second differences from
+    # H = 1/2 to about 1.26; above that gamma(1) > 0, and the eigenvalues
+    # were checked numerically (H to 1.4999, m to 2^22).  Second differences
+    # at H < 1/2 have a positive tail, which the row misses, so their
+    # zero-frequency eigenvalue is negative at every m
+    from .allan import _fast_len
+
+    m = _fast_len(max(n - 1, 1))
+    gamma = _diff_autocovariance(h, order, m)
+    row = np.concatenate((gamma, gamma[-2:0:-1]))
+    del gamma
+    spec = np.fft.rfft(row)
+    del row
+    low, top = spec.real.min(), spec.real.max()
+    if low < -_EIGEN_RTOL * top:
+        raise DecompositionError(
+            f"circulant embedding of H = {h} at {2 * m} points has eigenvalue "
+            f"{low:.3e} against a largest of {top:.3e}"
+        )
+    # the amplitudes sqrt(2m eig / 2), negative rounding set to zero
+    amp = np.maximum(spec.real, 0.0)
+    del spec
+    amp *= m
+    np.sqrt(amp, out=amp)
+    noise = rng.standard_normal(2 * m + 2).view(complex)
+    noise *= amp
+    del amp
+    # the zero and Nyquist terms are real and carry the full variance
+    noise[0] *= math.sqrt(2.0)
+    noise[m] *= math.sqrt(2.0)
+    return np.fft.irfft(noise, 2 * m)[:n]
+
+
+def simulate_trace(mix: NoiseMixture, n_samples: int, dt: float, seed: int) -> np.ndarray:
     """Single long phase trace on a uniform grid dt, 2dt, ..., n*dt.
 
-    Cholesky simulation is cubic in the grid size; calibration needs
-    millions of samples, so each non-white component is generated as a
-    causal moving average over fine-grid Brownian innovations, i.e. a
-    direct discretisation of the defining fractional integral.  The
-    marginal variance of every sample is exact by construction; second
-    difference statistics at analysis lag m carry a relative bias that
-    depends only on oversample * m and falls roughly like
-    (oversample * m)^-1.4 at H = 1 and (oversample * m)^-0.8 at H = 0.3
-    (-1.49% at m = 1 for H = 1 with the default oversampling, -1.0% for
-    H = 0.3; none for H = 1/2, which bypasses the moving average
-    entirely).
+    Cholesky simulation is cubic in the grid size and calibration needs
+    millions of samples, so the trace is drawn through the law that the
+    Allan statistic sees: that of its second differences.  For each
+    component they follow the stationary t -> infinity limit of the
+    model.  At lag dt their autocovariance is the fourth central
+    difference of the generalised covariance -|t|^(2H)/2 (H < 1),
+    +|t|^(2H)/2 (H > 1) or t^2 ln|t| (H = 1), scaled so that
+    gamma(0) = c^2 C(H) dt^(2H) with C(H) of ``allan.avar_constant``.
+    They are drawn exactly by circulant embedding (Davies & Harte 1987;
+    Wood & Chan 1994).  One real FFT of the embedded autocovariance gives
+    its eigenvalues, which must be nonnegative to rounding or
+    ``DecompositionError`` is raised.  One inverse real FFT of Hermitian
+    Gaussian noise scaled by their square roots gives the differences,
+    and two cumulative sums make them a trace.  For H < 1/2 that
+    embedding is never nonnegative, so the increments are drawn instead,
+    with minus the second central difference of the same covariance, and
+    summed once.  Either way the second differences at every lag follow
+    the stationary law exactly, with variance C(H) (m dt)^(2H) at lag m.
+    The samples themselves do not have the Riemann-Liouville variance of
+    ``variance``, early samples least of all.
 
-    Only the kept samples of the fine-grid moving average are computed:
-    the sum is split into ``oversample`` polyphase convolutions of length
-    n_samples, so every FFT has length 2 n_samples (rounded up to a power
-    of two) rather than 2 n_samples * oversample, and the kernel is built
-    one phase at a time.  Memory is O(n_samples * oversample) for the
-    innovations plus O(n_samples) for the rest.
+    The part of the trace that the drawn differences do not see is
+    pinned: each component is zero at the first sample and, for
+    H > 1/2, at the second too, which fixes its affine part a + b t.
+    H = 1/2, white frequency noise, is the exact cumulative sum of
+    independent N(0, dt) increments from the origin.
+
+    Cost is O(n log n): two real FFTs of a 5-smooth length 2m >= 2(n - 3)
+    per non-white component.  Memory is the trace plus one such FFT at a
+    time: its input, its output and numpy's scratch of twice its output,
+    about 8m doubles, so about ten doubles per sample at the peak.  The
+    components draw in order from one PCG64 stream: n normals for white
+    noise, 2m + 2 for each other.  ``DomainError`` is raised when the
+    coefficients and dt overflow the double range.
     """
     if n_samples < 1:
         raise DomainError(f"n_samples must be >= 1, got {n_samples}")
     if dt <= 0 or not math.isfinite(dt):
         raise DomainError(f"dt must be positive, got {dt}")
-    if oversample < 1:
-        raise DomainError(f"oversample must be >= 1, got {oversample}")
     rng = _rng(seed)
     total = np.zeros(n_samples)
-    for hurst, coeff in mix.components:
-        if coeff == 0.0:
-            continue
-        if hurst.h == 0.5:
-            total += coeff * np.cumsum(
-                rng.standard_normal(n_samples) * math.sqrt(dt)
-            )
-            continue
-        xi = rng.standard_normal(n_samples * oversample)
-        total += coeff * _decimated_moving_average(
-            xi, hurst.h, oversample, dt / oversample
+    # overflow is reported once, below, as a DomainError
+    with np.errstate(over="ignore", invalid="ignore"):
+        for hurst, coeff in mix.components:
+            if coeff == 0.0:
+                continue
+            if hurst.h == 0.5:
+                total += coeff * np.cumsum(rng.standard_normal(n_samples) * math.sqrt(dt))
+                continue
+            # the order whose circulant embedding is nonnegative
+            order = 1 if hurst.h < 0.5 else 2
+            if n_samples <= order:
+                continue
+            part = _embedded_draws(hurst.h, order, n_samples - order, rng)
+            for _ in range(order):
+                np.cumsum(part, out=part)
+            part *= coeff * np.float64(dt) ** hurst.h
+            total[order:] += part
+    if not np.isfinite(total).all():
+        raise DomainError(
+            f"trace overflows the double range: coefficients too large for dt = {dt}"
         )
     return total

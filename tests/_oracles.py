@@ -9,6 +9,7 @@ bit biases through brute-force offset scans over wrapped Gaussian draws.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import mpmath as mp
@@ -210,32 +211,6 @@ def central_decade_mask(omega: np.ndarray, dt: float) -> np.ndarray:
     return (omega >= om_max / 10**1.5) & (omega <= om_max / 10**0.5)
 
 
-def ma_trace_direct(mix, n: int, dt: float, seed: int, oversample: int) -> np.ndarray:
-    """The moving-average trace generator by direct fine-grid convolution.
-
-    Replays ``fbm.simulate_trace``'s PCG64 draws component by component;
-    each non-white component's fine-grid innovations go through one full
-    ``np.convolve`` with the package's kernel (the discretised law, not
-    the convolution under test), and every oversample-th output is kept.
-    """
-    from oscnoise.fbm import _ma_kernel
-
-    rng = np.random.default_rng(seed)
-    total = np.zeros(n)
-    for hurst, coeff in mix.components:
-        if coeff == 0.0:
-            continue
-        if hurst.h == 0.5:
-            total += coeff * np.cumsum(rng.standard_normal(n) * math.sqrt(dt))
-            continue
-        nf = n * oversample
-        xi = rng.standard_normal(nf)
-        g = _ma_kernel(hurst.h, np.arange(nf, dtype=float), dt / oversample)
-        fine = np.convolve(xi, g)[:nf]
-        total += coeff * fine[oversample - 1 :: oversample]
-    return total
-
-
 def allan_loop_estimate(trace, lags):
     """The per-lag second-difference loop that ``allan.estimate`` replaced.
 
@@ -282,52 +257,76 @@ def nnls(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     return scipy.optimize.nnls(A, b)[0]
 
 
-def ma_d2_variance_exact(h: float, o: int, m: int, n_terms: int = 1 << 20) -> float:
-    """Second-difference variance of the moving-average trace generator.
-
-    The generator's sample is sum_j g[j] xi[k - j] over unit fine-grid
-    innovations, with g[j] = dt_f^H sqrt(((j+1)^(2H) - j^(2H)) / (2H))
-    / Gamma(H + 1/2) and dt_f = 1/o for dt = 1.  Its second difference at
-    lag m samples (o*m fine steps) is the same sum with g replaced by the
-    kernel's own second difference a[l] = g[l] - 2 g[l - om] + g[l - 2om],
-    so far from the trace start its variance is sum_l a[l]^2, summed here
-    to n_terms + 2om cells (the tail falls like l^(2H-5)).  The power
-    difference is formed as j^(2H) expm1(2H log1p(1/j)), so large j do
-    not cancel.
-    """
-    s = o * m
-    j = np.arange(n_terms + 2 * s, dtype=float)
-    incr = np.ones_like(j)
-    incr[1:] = j[1:] ** (2.0 * h) * np.expm1(2.0 * h * np.log1p(1.0 / j[1:]))
-    g = (1.0 / o) ** h * np.sqrt(incr / (2.0 * h)) / math.gamma(h + 0.5)
-    a = g.copy()
-    a[s:] -= 2.0 * g[:-s]
-    a[2 * s :] += g[: -2 * s]
-    return float(np.sum(a * a))
+@functools.lru_cache(maxsize=None)
+def mp_covariance(h: float, s: float, t: float) -> float:
+    """Cov(phi^H_s, phi^H_t) from the closed form in the ``fbm`` docstring,
+    evaluated in mpmath at 40 digits; symmetric in (s, t), s, t > 0."""
+    with mp.workdps(40):
+        hh = mp.mpf(h)
+        lo, hi = sorted((mp.mpf(s), mp.mpf(t)))
+        f = mp.hyp2f1(1, mp.mpf(0.5) - hh, hh + mp.mpf(1.5), lo / hi)
+        return float(
+            2 * lo ** (hh + 0.5) * hi ** (hh - 0.5) * f
+            / (mp.gamma(hh + 0.5) ** 2 * (2 * hh + 1))
+        )
 
 
 def covariance_matrix_assembly(model, ts: np.ndarray) -> np.ndarray:
-    """Covariance matrix by the pair-list assembly that ``fbm`` used before
-    its packed kernel.
+    """Covariance matrix on the times ts, pair by pair from the closed form
+    in the ``fbm`` docstring, in mpmath:
 
-    The n(n+1)/2 pairs of the upper triangle, listed row by row as
-    (rows, cols), go through ``fbm.cross_covariance`` in one call; each row
-    is then written into K and mirrored into its column.
+        Cov(phi_s, phi_t) = 2 s^(H+1/2) t^(H-1/2) 2F1(1, 1/2-H; H+3/2; s/t)
+                            / (Gamma(H+1/2)^2 (2H+1)),      s <= t,
+
+    through ``mp_covariance``, summed over a mixture's components with
+    weights c^2.  ``model`` is a Hurst exponent as a float, or a mixture
+    whose ``components`` pair objects with an ``h`` field with
+    coefficients; nothing of the package is called.
     """
-    from oscnoise import fbm
-
+    parts = [(float(model), 1.0)] if isinstance(model, (int, float)) else [
+        (hurst.h, coeff) for hurst, coeff in model.components
+    ]
     n = ts.size
-    rows = np.repeat(ts, np.arange(n, 0, -1))
-    cols = np.concatenate([ts[r:] for r in range(n)])
-    upper = fbm.cross_covariance(model, rows, cols)
-    K = np.empty((n, n))
-    start = 0
+    K = np.zeros((n, n))
     for r in range(n):
-        row = upper[start : start + n - r]
-        K[r, r:] = row
-        K[r:, r] = row
-        start += n - r
+        for c in range(r, n):
+            K[r, c] = K[c, r] = sum(
+                coeff * coeff * mp_covariance(h, float(ts[r]), float(ts[c]))
+                for h, coeff in parts
+                if coeff > 0.0
+            )
     return K
+
+
+def mp_diff_autocovariance(h: float, k: int, order: int = 2) -> float:
+    """Autocovariance at lag k of the lag-one differences of the given order
+    (1 or 2) of the stationary-increment limit of phi^H, scaled so that the
+    second differences have variance C(H), at 50 digits.
+
+    The stencil (-1)^j binom(2p, j), p the order, is applied directly to
+    the generalised covariance |t|^(2H) (t^2 ln|t| at H = 1): the second
+    central difference for increments, the five-term fourth difference for
+    second differences, with no series.  The result is
+    C(H) (-1)^p delta^(2p) G(k) / delta^4 G(0); 50 digits leave about 24
+    after the cancellation at k = 1e6.
+    """
+    with mp.workdps(50):
+        hh = mp.mpf(h)
+        if h == 1.0:
+            def G(t):
+                return t * t * mp.log(abs(t)) if t else mp.mpf(0)
+        else:
+            def G(t):
+                return abs(t) ** (2 * hh)
+
+        def stencil(k, p):
+            return sum(
+                (-1) ** j * mp.binomial(2 * p, j) * G(mp.mpf(k + j - p)) for j in range(2 * p + 1)
+            )
+
+        return float(
+            mp.mpf(mp_avar_constant(h)) * (-1) ** order * stencil(k, order) / stencil(0, 2)
+        )
 
 
 def cholesky_eye_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:

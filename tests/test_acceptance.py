@@ -187,7 +187,7 @@ def test_c08_calibration_recovers_mixture_and_error_shrinks():
     lags = list(range(1, 101))
 
     def recover(n, seed):
-        x = fbm.simulate_trace(mix, n, 1.0, seed=seed, oversample=4)
+        x = fbm.simulate_trace(mix, n, 1.0, seed=seed)
         fit = allan.fit_mixture(allan.estimate(PhaseTrace(dt=1.0, samples=x), lags))
         return abs(fit.c_white - 1.0), abs(fit.c_flicker - 0.5) / 0.5
 

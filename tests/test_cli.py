@@ -145,6 +145,34 @@ class TestPackageLayout:
         with pytest.raises(AttributeError):
             oscnoise.no_such_name
 
+    def test_trace_simulate_memory_per_sample(self, tmp_path):
+        # ru_maxrss of a 4e6-sample trace simulate above that of a process
+        # that only imports oscnoise: 82 B/sample measured for white+flicker
+        # on Linux x86-64 with numpy 2.4 (numpy's FFT scratch included), so
+        # 100 B/sample leaves about 20% headroom
+        peak = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        base = _run_python(["-c", f"import oscnoise; {peak}"], tmp_path)
+        argv = "simulate --c-white 1 --c-flicker 0.5 --samples 4000000 --dt 1 --seed 1".split()
+        script = (
+            "import os, sys\n"
+            "from oscnoise.cli import dispatch\n"
+            "assert dispatch(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
+            f"{peak}\n"
+        )
+        run = _run_python(["-c", script, *argv], tmp_path)
+        assert base.returncode == 0 and run.returncode == 0, base.stderr + run.stderr
+        # ru_maxrss is in kilobytes on Linux
+        per_sample = (int(run.stdout) - int(base.stdout)) * 1024 / 4e6
+        assert per_sample < 100.0, per_sample
+
+    def test_trace_overflow_one_error_line(self, tmp_path):
+        # no numpy warning ahead of the error
+        argv = "simulate --c-white 1e200 --c-flicker 1e200 --samples 4 --dt 1e200 --seed 1"
+        proc = _run_python(["-m", "oscnoise.cli", *argv.split()], tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("oscnoise: error: trace overflows")
+        assert proc.stderr.count("\n") == 1 and proc.stdout == ""
+
 
 class TestPhaseTrace:
     def test_validation(self):
@@ -581,6 +609,9 @@ class TestDispatch:
                 "--n-omega 1",
                 "T*omega = inf exceeds 500000000000000.0",
             ),
+            ("leakage --c-flicker 1 --gap 1e200", "time 1e+200 too large"),
+            ("covariance --hurst 1.4 --s 1 --t 1e300", "time 1e+300 too large"),
+            ("entropy --hurst 1.4 --dt 1e300 --alpha 0.5", "time 1e+300 too large"),
         ],
     )
     def test_non_finite_time_exit_one(self, capsys, argv, message):

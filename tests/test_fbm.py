@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -54,6 +55,12 @@ class TestCovariance:
     def test_variance_formula(self):
         assert fbm.variance(0.5, 7.3) == pytest.approx(7.3)
         assert fbm.variance(1.0, 2.0) == pytest.approx(8.0 / math.pi, rel=1e-12)
+
+    def test_variance_overflow_is_a_domain_error(self):
+        # t^(2H) beyond the double range, not a bare OverflowError
+        with pytest.raises(DomainError, match=r"time 1e\+300 too large"):
+            fbm.variance(1.4, 1e300)
+        assert math.isfinite(fbm.variance(1.4, 1e100))
 
     def test_variance_equals_diagonal_covariance(self):
         for h in [0.2, 0.5, 0.75, 1.0, 1.3]:
@@ -193,23 +200,45 @@ _ASSEMBLY_MODELS = {
 }
 
 
+def _pair_assembly(model, ts):
+    # the n(n+1)/2 upper-triangle pairs, listed row by row, through
+    # fbm.cross_covariance in one call; each row written into K and mirrored
+    n = ts.size
+    rows = np.repeat(ts, np.arange(n, 0, -1))
+    cols = np.concatenate([ts[r:] for r in range(n)])
+    upper = fbm.cross_covariance(model, rows, cols)
+    K = np.empty((n, n))
+    start = 0
+    for r in range(n):
+        row = upper[start : start + n - r]
+        K[r, r:] = row
+        K[r:, r] = row
+        start += n - r
+    return K
+
+
+def _assert_assembly(model, ts):
+    K = fbm.covariance_matrix(model, TimeGrid(ts))
+    # bit for bit the elementwise kernel, so the packing and mirroring add
+    # no rounding of their own
+    assert np.array_equal(K, _pair_assembly(model, ts))
+    # and the closed form, in mpmath, on a subgrid of about ten points
+    sub = slice(None, None, max(1, ts.size // 10))
+    want = _oracles.covariance_matrix_assembly(model, ts[sub])
+    np.testing.assert_allclose(K[sub, sub], want, rtol=1e-12, atol=0.0)
+
+
 class TestCovarianceMatrixAssembly:
     # 300 points give 45150 pairs: several 8192-value blocks of the 2F1 series
     @pytest.mark.parametrize("n", [1, 2, 64, 300])
     @pytest.mark.parametrize("name", list(_ASSEMBLY_MODELS))
     def test_bitwise_equal_to_pair_assembly(self, name, n):
-        model = _ASSEMBLY_MODELS[name]
-        ts = np.linspace(1.0, 10.0, n)
-        K = fbm.covariance_matrix(model, TimeGrid(ts))
-        assert np.array_equal(K, _oracles.covariance_matrix_assembly(model, ts))
+        _assert_assembly(_ASSEMBLY_MODELS[name], np.linspace(1.0, 10.0, n))
 
     @pytest.mark.parametrize("name", ["1.0", "0.75", "white_flicker", "three"])
     def test_small_ratios_bitwise(self, name):
         # t0/t1 = 1e-3, so the H = 1 closed form hands z < 0.1 to its series
-        model = _ASSEMBLY_MODELS[name]
-        ts = np.linspace(1e-3, 1.0, 300)
-        K = fbm.covariance_matrix(model, TimeGrid(ts))
-        assert np.array_equal(K, _oracles.covariance_matrix_assembly(model, ts))
+        _assert_assembly(_ASSEMBLY_MODELS[name], np.linspace(1e-3, 1.0, 300))
 
     def test_all_zero_coefficients(self):
         mix = NoiseMixture.from_pairs([(0.5, 0.0), (1.0, 0.0)])
@@ -231,15 +260,6 @@ class TestCovarianceMatrixAssembly:
         assert peak <= 8 * n * n + 3 * 8 * n * (n + 1) // 2
 
 
-def _mp_covariance(h, s, t):
-    # closed form with the mpmath 2F1 oracle
-    lo, hi = min(s, t), max(s, t)
-    return (
-        2.0 * lo ** (h + 0.5) * hi ** (h - 0.5) * _oracles.mp_hyp2f1(h, lo / hi)
-        / (math.gamma(h + 0.5) ** 2 * (2.0 * h + 1.0))
-    )
-
-
 class TestCrossCovariance:
     @pytest.mark.parametrize("h", [0.2, 0.75, 0.99999, 1.0, 1.3])
     def test_matrix_exactly_symmetric(self, h):
@@ -254,7 +274,7 @@ class TestCrossCovariance:
             K = fbm.covariance_matrix(h, TimeGrid(ts))
             for i, a in enumerate(ts):
                 for j, b in enumerate(ts):
-                    assert K[i, j] == pytest.approx(_mp_covariance(h, a, b), rel=1e-12)
+                    assert K[i, j] == pytest.approx(_oracles.mp_covariance(h, a, b), rel=1e-12)
 
     def test_near_degenerate_matrix_needs_no_mpmath(self, monkeypatch):
         import mpmath
@@ -262,7 +282,7 @@ class TestCrossCovariance:
         h = 0.99999
         ts = np.linspace(1.0, 10.0, 150)
         picks = [(0, 0), (0, 1), (3, 140), (75, 76), (149, 149), (20, 149), (100, 130)]
-        ref = {ij: _mp_covariance(h, ts[ij[0]], ts[ij[1]]) for ij in picks}
+        ref = {ij: _oracles.mp_covariance(h, ts[ij[0]], ts[ij[1]]) for ij in picks}
 
         def refuse(*args, **kwargs):
             raise AssertionError("mpmath.hyp2f1 called on the covariance path")
@@ -297,7 +317,7 @@ class TestCrossCovariance:
     def test_scalar_arguments(self):
         got = fbm.cross_covariance(0.75, 2.0, 3.0)
         assert got.shape == ()
-        assert float(got) == pytest.approx(_mp_covariance(0.75, 2.0, 3.0), rel=1e-12)
+        assert float(got) == pytest.approx(_oracles.mp_covariance(0.75, 2.0, 3.0), rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
     def test_domain(self, bad):
@@ -401,56 +421,100 @@ class TestSimulateTrace:
         assert np.std(inc) == pytest.approx(math.sqrt(0.5), rel=0.02)
         assert abs(np.corrcoef(inc[:-1], inc[1:])[0, 1]) < 0.02
 
-    def test_flicker_marginal_variance_exact(self):
-        # the moving-average kernel is built to make one-point variances exact
-        reps = 400
-        vals = np.array(
-            [fbm.simulate_trace(NoiseMixture.single(1.0), 64, 1.0, seed=s)[-1] for s in range(reps)]
-        )
-        expected = fbm.variance(1.0, 64.0)
-        assert np.var(vals) == pytest.approx(expected, rel=4.0 / math.sqrt(reps))
-
-    @staticmethod
-    def _d2_bias(h, o, m):
-        # exact relative bias of the generator's second-difference variance
-        exact = _oracles.ma_d2_variance_exact(h, o, m)
-        return exact / (allan.avar_constant(h) * m ** (2.0 * h)) - 1.0
-
-    def test_lag_one_bias_at_default_oversample(self):
-        assert self._d2_bias(1.0, 8, 1) == pytest.approx(-0.0149, abs=1e-4)
-
+    @pytest.mark.parametrize("n", [1, 2, 3, 7])
     @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
-    def test_bias_depends_only_on_oversample_times_lag(self, h):
-        assert self._d2_bias(h, 4, 2) == pytest.approx(self._d2_bias(h, 8, 1), rel=1e-9)
+    def test_short_traces_pinned(self, h, n):
+        # the part the drawn differences do not see is zero: the first
+        # sample for increments (H < 1/2), the first two for second differences
+        x = fbm.simulate_trace(NoiseMixture.single(h, 0.7), n, 0.5, seed=5)
+        pinned = 1 if h < 0.5 else 2
+        assert x.shape == (n,)
+        assert np.all(x[:pinned] == 0.0)
+        assert np.all(np.isfinite(x[pinned:])) and np.all(x[pinned:] != 0.0)
 
-    @pytest.mark.parametrize("h,slope", [(0.3, -0.8), (1.0, -1.4)])
-    def test_bias_power_law_in_oversample_times_lag(self, h, slope):
-        # the rate the simulate_trace docstring states, over o*m = 16 .. 64
-        got = math.log(self._d2_bias(h, 8, 8) / self._d2_bias(h, 8, 2)) / math.log(4.0)
-        assert got == pytest.approx(slope, abs=0.1)
+    def test_zero_coefficient_draws_nothing(self):
+        # a zero component takes nothing from the stream
+        with_zeros = NoiseMixture.from_pairs([(1.0, 0.0), (0.5, 1.0), (1.25, 0.0), (0.3, 0.0)])
+        got = fbm.simulate_trace(with_zeros, 500, 1.0, seed=3)
+        assert np.array_equal(got, fbm.simulate_trace(NoiseMixture.single(0.5), 500, 1.0, seed=3))
+        none = NoiseMixture.from_pairs([(1.0, 0.0), (0.3, 0.0)])
+        assert np.array_equal(fbm.simulate_trace(none, 7, 1.0, seed=3), np.zeros(7))
 
-    @pytest.mark.parametrize("oversample", [1, 3, 8])
-    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
-    @pytest.mark.parametrize("n", [1, 7, 1000])
-    def test_matches_direct_convolution(self, n, h, oversample):
-        mix = NoiseMixture.single(h, 0.7)
-        got = fbm.simulate_trace(mix, n, 0.5, seed=5, oversample=oversample)
-        want = _oracles.ma_trace_direct(mix, n, 0.5, 5, oversample)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-
-    @pytest.mark.parametrize("oversample", [1, 3, 8])
     @pytest.mark.parametrize(
-        "pairs",
-        [
-            ((0.5, 1.0), (1.0, 0.5)),
-            ((0.3, 0.7), (0.5, 1.0), (1.0, 0.0), (1.25, 0.2)),
-        ],
+        "h", [0.001, 0.05, 0.3, 0.49, 0.51, 0.75, 1.0, 1.26, 1.3, 1.49, 1.4999]
     )
-    def test_mixture_matches_direct_convolution(self, pairs, oversample):
-        mix = NoiseMixture.from_pairs(pairs)
-        got = fbm.simulate_trace(mix, 1000, 1.0, seed=13, oversample=oversample)
-        want = _oracles.ma_trace_direct(mix, 1000, 1.0, 13, oversample)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    def test_embedding_nonnegative_at_every_size(self, h):
+        # DecompositionError would be raised on a negative eigenvalue
+        for n in [3, 4, 5, 6, 13, 100, 1001, 10007, 2**17 + 3]:
+            x = fbm.simulate_trace(NoiseMixture.single(h), n, 1.0, seed=n)
+            assert np.all(np.isfinite(x))
+
+    def test_second_differences_below_one_half_not_embeddable(self):
+        # their autocovariance has a positive tail, which the circulant's
+        # row misses, so its zero-frequency eigenvalue is negative
+        with pytest.raises(DecompositionError, match="eigenvalue"):
+            fbm._embedded_draws(0.3, 2, 100, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("h", [0.3, 0.75, 1.0, 1.25, 1.49])
+    def test_second_difference_law_chi_square(self, h):
+        # one trace of 16 samples per pinned seed: at lag j of the lag-dt
+        # second differences d, the sum and the difference of d[2] and
+        # d[2 + j] have variance 2 (gamma(0) +- gamma(j)); over independent
+        # traces their scaled sums of squares are chi-square with one degree
+        # of freedom per trace
+        reps, coeff, dt = 2000, 0.7, 0.5
+        mix = NoiseMixture.single(h, coeff)
+        d = np.array([np.diff(fbm.simulate_trace(mix, 16, dt, seed=s), 2) for s in range(reps)])
+        scale = coeff * coeff * dt ** (2.0 * h)
+        gamma = {j: scale * _oracles.mp_diff_autocovariance(h, j) for j in (0, 1, 2, 10)}
+        lo, hi = stats.chi2.ppf([1e-4, 1.0 - 1e-4], reps)
+        assert lo < np.sum(d[:, 2] ** 2) / gamma[0] < hi
+        for j in (1, 2, 10):
+            for sign in (1.0, -1.0):
+                u = d[:, 2] + sign * d[:, 2 + j]
+                stat = np.sum(u * u) / (2.0 * (gamma[0] + sign * gamma[j]))
+                assert lo < stat < hi, (j, sign, stat)
+
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
+    def test_three_samples_one_exact_difference(self, h):
+        # the smallest embedding: one second difference, variance C(H) dt^(2H)
+        reps = 2000
+        mix = NoiseMixture.single(h)
+        x = np.array([fbm.simulate_trace(mix, 3, 2.0, seed=s) for s in range(reps)])
+        d = x[:, 2] - 2.0 * x[:, 1] + x[:, 0]
+        stat = np.sum(d * d) / (allan.avar_constant(h) * 2.0 ** (2.0 * h))
+        assert stats.chi2.ppf(1e-4, reps) < stat < stats.chi2.ppf(1.0 - 1e-4, reps)
+
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
+    def test_lag_one_variance_of_long_trace(self, h):
+        # the mean square of N stationary second differences has variance
+        # (2/N^2) sum_ij gamma(i-j)^2, which fixes it to about 0.2% here
+        n = 1 << 20
+        x = fbm.simulate_trace(NoiseMixture.single(h), n + 2, 1.0, seed=17)
+        d = np.diff(x, 2)
+        gamma = fbm._diff_autocovariance(h, 2, n - 1)
+        k = np.arange(1, n)
+        var = 2.0 * (n * gamma[0] ** 2 + 2.0 * np.sum((n - k) * gamma[1:] ** 2)) / n**2
+        assert abs(np.mean(d * d) - gamma[0]) < 4.0 * math.sqrt(var)
+
+    def test_white_coefficient_unbiased_over_seeds(self):
+        # lag 1 pins c_white to about 0.1% a trace, so a bias of the
+        # lag-one second-difference law shows as an offset over seeds
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        fits = []
+        for seed in range(16):
+            x = fbm.simulate_trace(mix, 10**6, 1.0, seed=seed)
+            curve = allan.estimate(allan.PhaseTrace(dt=1.0, samples=x), range(1, 101))
+            fits.append(allan.fit_mixture(curve).c_white)
+        se = np.std(fits, ddof=1) / math.sqrt(len(fits))
+        assert abs(np.mean(fits) - 1.0) < 2.0 * se, (np.mean(fits), se)
+
+    def test_overflow_is_a_domain_error(self):
+        mix = NoiseMixture.white_flicker(1e200, 1e200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="overflows"):
+                fbm.simulate_trace(mix, 4, 1e200, seed=1)
 
     def test_validation(self):
         mix = NoiseMixture.single(1.0)
@@ -458,7 +522,5 @@ class TestSimulateTrace:
             fbm.simulate_trace(mix, 0, 1.0, seed=0)
         with pytest.raises(DomainError):
             fbm.simulate_trace(mix, 10, -1.0, seed=0)
-        with pytest.raises(DomainError):
-            fbm.simulate_trace(mix, 10, 1.0, seed=0, oversample=0)
         with pytest.raises(DomainError, match="seed must be >= 0"):
             fbm.simulate_trace(mix, 10, 1.0, seed=-1)
