@@ -329,6 +329,55 @@ def mp_diff_autocovariance(h: float, k: int, order: int = 2) -> float:
         )
 
 
+@functools.lru_cache(maxsize=None)
+def _mp_embedding_eigenvalues(h: float, order: int, m: int) -> np.ndarray:
+    # eigenvalues 0..m of the symmetric circulant of order 2m whose first
+    # row is gamma(0..m), gamma(m-1..1), by the direct cosine sum.  The row
+    # sums to nearly zero, so each sum of rounded products is taken exactly
+    gamma = np.array([mp_diff_autocovariance(h, k, order) for k in range(m + 1)])
+    row = np.concatenate((gamma, gamma[-2:0:-1]))
+    jk = np.outer(np.arange(m + 1), np.arange(2 * m)) % (2 * m)
+    return np.array([math.fsum(terms) for terms in np.cos(np.pi * jk / m) * row])
+
+
+def embedded_trace_direct(mix, n: int, dt: float, seed: int) -> np.ndarray:
+    """The circulant-embedding trace generator with direct sums for its FFTs.
+
+    Replays ``fbm.simulate_trace``'s PCG64 draws component by component.
+    Each non-white component's embedded autocovariance comes from
+    ``mp_diff_autocovariance`` (the 50-digit stencil, not the package's
+    series); its eigenvalues and the synthesis from the scaled Hermitian
+    noise are direct cosine and sine sums over the 2m-point circle.  The
+    differences are summed once per order, with the first samples pinned
+    at zero, as the ``simulate_trace`` docstring states.
+    """
+    rng = np.random.default_rng(seed)
+    total = np.zeros(n)
+    for hurst, coeff in mix.components:
+        if coeff == 0.0:
+            continue
+        if hurst.h == 0.5:
+            total += coeff * np.cumsum(rng.standard_normal(n) * math.sqrt(dt))
+            continue
+        order = 1 if hurst.h < 0.5 else 2
+        if n <= order:
+            continue
+        draws = n - order
+        m = fft_fast_len(max(draws - 1, 1))
+        amp = np.sqrt(np.maximum(_mp_embedding_eigenvalues(hurst.h, order, m), 0.0) * m)
+        xi = rng.standard_normal(2 * m + 2).reshape(m + 1, 2)
+        re, im = amp * xi[:, 0], amp * xi[:, 1]
+        angle = np.pi * (np.outer(np.arange(draws), np.arange(1, m)) % (2 * m)) / m
+        d = (
+            math.sqrt(2.0) * (re[0] + (-1.0) ** np.arange(draws) * re[m])
+            + 2.0 * (np.cos(angle) @ re[1:m] - np.sin(angle) @ im[1:m])
+        ) / (2 * m)
+        for _ in range(order):
+            d = np.cumsum(d)
+        total[order:] += coeff * dt**hurst.h * d
+    return total
+
+
 def cholesky_eye_jitter(K: np.ndarray) -> tuple[np.ndarray, float]:
     """Lower Cholesky factor of K + eps mean(diag(K)) I for the smallest
     eps in 0, 1e-12, 1e-11, ..., 1e-6 that factors, and that eps; the

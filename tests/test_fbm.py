@@ -440,6 +440,32 @@ class TestSimulateTrace:
         none = NoiseMixture.from_pairs([(1.0, 0.0), (0.3, 0.0)])
         assert np.array_equal(fbm.simulate_trace(none, 7, 1.0, seed=3), np.zeros(7))
 
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    @pytest.mark.parametrize("h", [0.3, 1.0, 1.25])
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_matches_direct_convolution(self, n, h, seed):
+        # the FFT pair against direct cosine and sine sums over the same
+        # draws, from the 50-digit autocovariance; most of what is left is
+        # the rounding of the smallest eigenvalue, about 1e-12 of itself
+        mix = NoiseMixture.single(h, 0.7)
+        got = fbm.simulate_trace(mix, n, 0.5, seed=seed)
+        want = _oracles.embedded_trace_direct(mix, n, 0.5, seed)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("seed", [1, 3, 8])
+    @pytest.mark.parametrize(
+        "pairs",
+        [
+            ((0.5, 1.0), (1.0, 0.5)),
+            ((0.3, 0.7), (0.5, 1.0), (1.0, 0.0), (1.25, 0.2)),
+        ],
+    )
+    def test_mixture_matches_direct_convolution(self, pairs, seed):
+        mix = NoiseMixture.from_pairs(pairs)
+        got = fbm.simulate_trace(mix, 1000, 1.0, seed=seed)
+        want = _oracles.embedded_trace_direct(mix, 1000, 1.0, seed)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
     @pytest.mark.parametrize(
         "h", [0.001, 0.05, 0.3, 0.49, 0.51, 0.75, 1.0, 1.26, 1.3, 1.49, 1.4999]
     )
