@@ -333,13 +333,15 @@ def _cmd_spectrum(args) -> int:
     if args.n_omega < 1:
         raise DomainError(f"--n-omega must be >= 1, got {args.n_omega}")
     omegas = np.logspace(math.log10(args.omega_min), math.log10(args.omega_max), args.n_omega)
+    if args.avg_time is not None:
+        pts = spectrum.time_averaged(args.hurst, args.avg_time, omegas)
+    else:
+        pts = spectrum.instantaneous(args.hurst, args.time, omegas)
     lines = ["omega,value,branch"]
-    for om in omegas:
-        if args.avg_time is not None:
-            pt = spectrum.time_averaged(args.hurst, args.avg_time, float(om))
-        else:
-            pt = spectrum.instantaneous(args.hurst, args.time, float(om))
-        lines.append(f"{pt.omega!r},{pt.value!r},{pt.branch}")
+    lines += [
+        f"{om!r},{value!r},{branch}"
+        for om, value, branch in zip(pts.omega.tolist(), pts.value.tolist(), pts.branch.tolist())
+    ]
     _emit("\n".join(lines), args.out)
     return 0
 

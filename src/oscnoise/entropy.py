@@ -58,6 +58,12 @@ __all__ = [
 # relative width of its final bracket
 _DT_MIN = 1e-12
 _REL_TOL = 1e-6
+# solve_min_dt's bracket candidates, ascending: the powers of 8 above
+# _DT_MIN up to 1e30, each exact, and the index of 8^0 = 1
+_BRACKET = [math.ldexp(1.0, 3 * j) for j in range(-13, 34)]
+_ONE = _BRACKET.index(1.0)
+# bisection levels per min_entropy call: 2^_LEVELS - 1 speculative midpoints
+_LEVELS = 4
 
 
 @dataclass(frozen=True)
@@ -146,7 +152,11 @@ def solve_min_dt(mix: NoiseMixture, alpha: float, target_entropy: float) -> floa
     Entropy is monotone in dt (more time, more accumulated noise), so a
     bracket-and-bisect on dt suffices, down to a bracket 1e-6 of its upper
     end wide; dt is never below 1e-12 s, which a target of zero (any
-    interval works) returns too.  The achievable supremum is
+    interval works) returns too.  The bracket ends are powers of 8, all
+    evaluated in one ``min_entropy`` array call; the geometric bisection
+    then takes four levels per call, evaluating the 15 midpoints those
+    levels can reach, and returns the dt a one-midpoint-at-a-time search
+    would.  The achievable supremum is
     -log2(1/2 + |alpha - 1/2|) -- one bit only for a symmetric duty
     cycle; targets at or above the supremum raise ``NoSolutionError``.
     A target that is negative or not finite raises ``DomainError``.
@@ -166,25 +176,49 @@ def solve_min_dt(mix: NoiseMixture, alpha: float, target_entropy: float) -> floa
     if all(c == 0.0 for _, c in mix.components):
         raise NoSolutionError("mixture has no noise; entropy stays at 0")
 
-    def entropy_at(dt: float) -> float:
-        return min_entropy(leakage.conditional_variance(mix, dt), alpha)
+    def entropies(dts) -> list[float]:
+        return min_entropy([leakage.conditional_variance(mix, dt) for dt in dts], alpha).tolist()
 
-    hi = 1.0
-    while entropy_at(hi) < target_entropy:
-        hi *= 8.0
-        if hi > 1e30:
-            raise NoSolutionError("no finite interval reaches the target")
-    lo = hi
-    while lo > _DT_MIN and entropy_at(lo) >= target_entropy:
-        lo /= 8.0
-    if lo <= _DT_MIN:
+    # every bracket candidate in one call; a variance that overflows ends
+    # the list, and a candidate past its end is evaluated on its own, so
+    # an error is raised only where the search needs that interval
+    sigma2 = []
+    for dt in _BRACKET:
+        try:
+            sigma2.append(leakage.conditional_variance(mix, dt))
+        except DomainError:
+            break
+    known = min_entropy(sigma2, alpha).tolist()
+
+    def entropy_at(j: int) -> float:
+        return known[j] if j < len(known) else entropies([_BRACKET[j]])[0]
+
+    # hi is the first candidate from 1 up that reaches the target, lo the
+    # first one below it that does not
+    hi_j = next((j for j in range(_ONE, len(_BRACKET)) if entropy_at(j) >= target_entropy), None)
+    if hi_j is None:
+        raise NoSolutionError("no finite interval reaches the target")
+    lo_j = next((j for j in range(hi_j - 1, -1, -1) if entropy_at(j) < target_entropy), None)
+    if lo_j is None:
         return _DT_MIN
-    while (hi - lo) > _REL_TOL * hi:
-        mid = math.sqrt(lo * hi)
-        if entropy_at(mid) >= target_entropy:
-            hi = mid
-        else:
-            lo = mid
+    lo, hi = _BRACKET[lo_j], _BRACKET[hi_j]
+    # geometric bisection, _LEVELS levels per call: the midpoints of every
+    # bracket the next levels can reach, in heap order (node i halves its
+    # bracket at mids[i]; nodes 2i+1 and 2i+2 take the lower and upper
+    # half), then the walk down the realised path
+    while hi - lo > _REL_TOL * hi:
+        mids, nodes = [], [(lo, hi)]
+        while len(mids) < 2**_LEVELS - 1:
+            a, b = nodes[len(mids)]
+            mids.append(math.sqrt(a * b))
+            nodes += [(a, mids[-1]), (mids[-1], b)]
+        reached = entropies(mids)
+        i = 0
+        while i < len(mids) and hi - lo > _REL_TOL * hi:
+            if reached[i] >= target_entropy:
+                hi, i = mids[i], 2 * i + 1
+            else:
+                lo, i = mids[i], 2 * i + 2
     return hi
 
 

@@ -222,8 +222,12 @@ def correlation(h, s: float, t: float) -> float:
 
 def component_variances(mix: NoiseMixture, t: float) -> list[float]:
     """c_H^2 Var(phi^H_t) of each component at time t, in rad^2, in the
-    order of ``mix.components``."""
-    return [c * c * variance(hurst, t) for hurst, c in mix.components]
+    order of ``mix.components``.  A part or a sum of them that overflows
+    a double raises ``DomainError``."""
+    parts = [c * c * variance(hurst, t) for hurst, c in mix.components]
+    if not math.isfinite(sum(parts)):
+        raise DomainError(f"phase variance c^2 Var(phi_t) at time {t} overflows")
+    return parts
 
 
 def _row_blocks(n: int):

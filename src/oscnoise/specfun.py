@@ -14,11 +14,14 @@ hypergeometric routine could use:
   two connection terms have cancelling poles; the function itself is
   analytic in H, so it is interpolated there from Chebyshev nodes in H
   that keep clear of the poles.
-* ``hyp1f2`` evaluates 1F2(H+1/2; H+1, H+3/2; -s^2) and the companion
-  triple (H+1/2; H+3/2, H+2; -s^2) appearing in the oscillator spectra.
-  Both are integrals of u^H J_H(u), which DLMF 10.22.2 gives in closed
-  form through Bessel J and Struve H functions; that form is used above
-  s = 1, and the defining series, which has no cancellation there, below.
+* ``_spectral_1f2`` evaluates 1F2(H+1/2; H+1, H+3/2; -s^2) and the
+  companion triple (H+1/2; H+3/2, H+2; -s^2) appearing in the oscillator
+  spectra, elementwise over an array of s = t*omega in one call per
+  branch.  Both are integrals of u^H J_H(u), which DLMF 10.22.2 gives in
+  closed form through Bessel J and Struve H functions; that form is used
+  above s = 1, and the defining series, which has no cancellation there,
+  below.  ``hyp1f2`` is a temporary scalar adapter onto it that takes the
+  parameter triple and x = -(s^2).
 * ``wrapped_gaussian`` is the unit-period wrapped Gaussian, a function of
   its variance v: its density and the mass of a centred window, from the
   theta series in q = exp(-2 pi^2 v) for v >= 1/(2 pi^2) and from the sum
@@ -29,7 +32,9 @@ hypergeometric routine could use:
 All functions are pure and safe to call from multiple threads.
 ``scipy.special`` is imported inside the two functions that call it, the
 1F2 closed form and the small-variance window mass: it takes about 0.4 s
-to import, which commands that never reach either should not pay.
+to import, which commands that never reach either should not pay.  The
+closed form makes one ``jv`` and one ``struve`` call for all its orders
+and points.
 """
 
 from __future__ import annotations
@@ -111,17 +116,20 @@ class Tolerance:
 
 @dataclass(frozen=True)
 class Hyp1F2Result:
-    """Value of a 1F2 evaluation plus how it was obtained.
+    """Value of one ``hyp1f2`` evaluation plus how it was obtained.
 
+    The scalar record of the temporary ``hyp1f2`` adapter; the spectral
+    kernel behind it returns the same three quantities as arrays.
     ``branch`` is ``"series"`` (the defining series in ``np.longdouble``,
     80-bit on x86, summed to the ``Tolerance``) or ``"bessel"`` (the
     closed form in Bessel J and Struve H functions).  ``error_estimate``
     is an absolute bound on the numerical error of ``value``.  For the
-    series it is the ``np.longdouble`` rounding noise of the largest term.  For the closed form it is
-    2^-52 times the terms the form adds, each at the envelope of its
-    oscillating factors, weighted 16384 for the products with a Struve
-    function and 32 for the pure Bessel terms; both weights were fixed by
-    a sweep against a 60-digit reference.
+    series it is the ``np.longdouble`` rounding noise of the largest
+    term, the leading 1.  For the closed form it is 2^-52 times the terms
+    the form adds, each at the envelope of its oscillating factors,
+    weighted 16384 for the products with a Struve function and 32 for the
+    pure Bessel terms; both weights were fixed by a sweep against a
+    60-digit reference.
     """
 
     value: float
@@ -333,11 +341,15 @@ def _family_from_params(a: float, b1: float, b2: float) -> tuple[float, str]:
 def hyp1f2(
     a: float, b1: float, b2: float, x: float, tol: Tolerance | None = None
 ) -> Hyp1F2Result:
-    """1F2 for the two spectral parameter triples, argument x <= 0.
+    """1F2 for the two spectral parameter triples at one argument x <= 0.
 
-    Writing x = -(s^2), the defining series is summed for s <= 1.  Above,
-    with X = 2s, Hs the Struve function and k = sqrt(pi) 2^(H-1) Gamma(H+1/2),
-    DLMF 10.22.2 gives
+    A temporary scalar adapter onto the spectral kernel behind
+    ``spectrum``, kept while callers pass the parameter triple and
+    x = -(s^2): it recovers H and the family from (a, b1, b2), takes
+    s = sqrt(-x) and hands the kernel the offset that moves s back to the
+    exact root.  Writing x = -(s^2), the defining series is summed for
+    s <= 1.  Above, with X = 2s, Hs the Struve function and
+    k = sqrt(pi) 2^(H-1) Gamma(H+1/2), DLMF 10.22.2 gives
 
         G(X) = int_0^X u^H J_H(u) du = k X [J_H(X) Hs_(H-1)(X) - Hs_H(X) J_(H-1)(X)],
 
@@ -350,60 +362,85 @@ def hyp1f2(
     lose their phase.  The returned record carries the branch taken and an
     absolute error estimate.
     """
-    tol = tol or Tolerance()
     h, family = _family_from_params(a, b1, b2)
     if not (x <= 0.0 and math.isfinite(x)):
         raise DomainError(f"argument must be finite and <= 0, got {x}")
     s = math.sqrt(-x)
     if s > _HYP1F2_S_MAX:
         raise DomainError(f"sqrt(-x) = {s} exceeds {_HYP1F2_S_MAX}")
-    if s <= _HYP1F2_SERIES_MAX:
-        value, err = _hyp1f2_series_native(a, b1, b2, x, tol)
-        return Hyp1F2Result(value, "series", err)
-    value, err = _hyp1f2_bessel(h, x, s, family)
-    return Hyp1F2Result(value, "bessel", err)
+    # sqrt(-x) rounds; s + ds is the exact root to second order
+    ds = float(Fraction(-x) - Fraction(s) ** 2) / (2.0 * s) if s else 0.0
+    value, err, branch = _spectral_1f2(h, s, family, ds, tol)
+    return Hyp1F2Result(float(value), str(branch), float(err))
 
 
-def _hyp1f2_series_native(
-    a: float, b1: float, b2: float, x: float, tol: Tolerance
-) -> tuple[float, float]:
-    al, b1l, b2l, xl = (np.longdouble(v) for v in (a, b1, b2, x))
-    term = np.longdouble(1.0)
-    total = np.longdouble(1.0)
-    peak = 1.0
+def _spectral_1f2(h: float, s, family: str, ds=0.0, tol: Tolerance | None = None):
+    """The spectral 1F2 of ``family`` at argument -(s + ds)^2, elementwise.
+
+    ``family`` is ``"instantaneous"``, 1F2(H+1/2; H+1, H+3/2; .), or
+    ``"averaged"``, 1F2(H+1/2; H+3/2, H+2; .); s lies in [0, 5e14] and
+    broadcasts with the offset ds, which is zero or a rounding-sized
+    correction of s.  Returns (values, error estimates, branch labels),
+    arrays of s's shape.  Points with s <= 1 take the series, the others
+    the closed form, each branch in one array evaluation.
+    """
+    tol = tol or Tolerance()
+    s, ds = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
+    values, errors = np.empty(s.shape), np.empty(s.shape)
+    series = s <= _HYP1F2_SERIES_MAX
+    if series.any():
+        values[series], errors[series] = _hyp1f2_series(h, family, s[series], ds[series], tol)
+    if not series.all():
+        bessel = ~series
+        values[bessel], errors[bessel] = _hyp1f2_bessel(h, family, s[bessel], ds[bessel])
+    return values, errors, np.where(series, "series", "bessel")
+
+
+def _hyp1f2_series(h: float, family: str, s: np.ndarray, ds: np.ndarray, tol: Tolerance):
+    # the defining series in np.longdouble, every element in step; each
+    # keeps the partial sum at which its own terms meet the Tolerance rule
+    # once n exceeds s.  For s <= 1 the terms fall from the leading 1 on,
+    # so that 1 is the largest term the rounding noise scales with
+    d1, d2 = (1.0, 1.5) if family == "instantaneous" else (1.5, 2.0)
+    al, b1l, b2l = (np.longdouble(v) for v in (h + 0.5, h + d1, h + d2))
+    sl = s.astype(np.longdouble) + ds
+    xl = -(sl * sl)
+    term = np.ones(s.shape, dtype=np.longdouble)
+    total = term.copy()
+    value, n_terms = np.empty(s.shape), np.empty(s.shape)
+    active = np.ones(s.shape, dtype=bool)
     n = 0
-    while True:
-        term = term * (al + n) / ((b1l + n) * (b2l + n)) * xl / (n + 1)
+    while active.any():
+        term *= (al + n) / ((b1l + n) * (b2l + n) * (n + 1)) * xl
         total += term
-        t = abs(float(term))
-        peak = max(peak, t)
+        t = np.abs(term.astype(float))
         n += 1
         if n >= tol.max_terms:
             raise ConvergenceError(f"1F2 series exceeded {tol.max_terms} terms")
-        if n * n > -x and t < tol.abs_tol and t < tol.rel_tol * max(
-            abs(float(total)), tol.abs_tol
-        ):
-            break
+        done = active & (n > s) & (t < tol.abs_tol)
+        done &= t < tol.rel_tol * np.maximum(np.abs(total.astype(float)), tol.abs_tol)
+        value[done] = total[done]
+        n_terms[done] = n
+        active &= ~done
     # cancellation noise at np.longdouble precision, then the rounding to
     # a double
-    value = float(total)
-    err = peak * _LONGDOUBLE_EPS * math.sqrt(n) + abs(value) * 2.0**-53
-    return value, err
+    return value, _LONGDOUBLE_EPS * np.sqrt(n_terms) + np.abs(value) * 2.0**-53
 
 
-def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, float]:
+def _hyp1f2_bessel(h: float, family: str, s: np.ndarray, ds: np.ndarray):
     # The closed form of hyp1f2's docstring, rearranged.  Hs_H carries the
     # power (X/2)^(H-1) / (sqrt(pi) Gamma(H+1/2)); its product with J_(H-1)
     # grows like X^(H-1/2) and cancels against X^H J_(H+1).  The Struve and
     # Bessel recurrences (DLMF 11.4.23, 10.6.1) take it out exactly:
     #   G - X^H J_(H+1) = k X [J_(H-1) Hs_(H-2) - Hs_(H-1) J_(H-2)] - 2H X^(H-1) J_H,
     # whose terms stay within a few times the result.  The instantaneous
-    # family adds back X^H J_(H+1), its own oscillation.
+    # family adds back X^H J_(H+1), its own oscillation.  One jv and one
+    # struve call cover every order and point.
     from scipy.special import jv, struve
 
     big_x = 2.0 * s
-    j_m2, j_m1, j_0, j_p1 = (float(v) for v in jv(h + np.arange(-2.0, 2.0), big_x))
-    hs_m2, hs_m1 = (float(v) for v in struve(h + np.arange(-2.0, 0.0), big_x))
+    j_m2, j_m1, j_0, j_p1 = jv(h + np.arange(-2.0, 2.0)[:, None], big_x)
+    hs_m2, hs_m1 = struve(h + np.arange(-2.0, 0.0)[:, None], big_x)
     kx = math.sqrt(math.pi) * 2.0 ** (h - 1.0) * math.gamma(h + 0.5) * big_x
     p, q = kx * j_m1 * hs_m2, kx * hs_m1 * j_m2
     r_factor = 2.0 * h * big_x ** (h - 1.0)
@@ -412,8 +449,8 @@ def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, fl
     # the error of each term scales with the envelope of its oscillating
     # factors, not with their value, which can sit at a zero.  s_slope is
     # s d/ds of the bracket
-    struve_terms = kx * math.hypot(j_m2, j_m1) * math.hypot(hs_m2, hs_m1)
-    envelope = math.hypot(j_0, j_p1)
+    struve_terms = kx * np.hypot(j_m2, j_m1) * np.hypot(hs_m2, hs_m1)
+    envelope = np.hypot(j_0, j_p1)
     bessel_terms = r_factor * envelope
     if family == "instantaneous":
         value += big_x**h * j_p1
@@ -422,15 +459,13 @@ def _hyp1f2_bessel(h: float, x: float, s: float, family: str) -> tuple[float, fl
     else:
         scale *= 2.0 * h + 2.0
         s_slope = big_x**h * j_p1
-    # sqrt(-x) rounds, which moves the oscillation's phase by X ds_rel; move
-    # the value back to first order and leave the second in the error (up to
-    # 1e-10 of the oscillation at s ~ 1e12).  The prefactor's own move is
-    # below rounding
-    ds_rel = float(Fraction(-x) - Fraction(s) ** 2) / (2.0 * s * s)
-    value += s_slope * ds_rel
+    # the offset ds moves the oscillation's phase by 2 ds: the value moves
+    # to first order and the second stays in the error (up to 1e-10 of the
+    # oscillation at s ~ 1e12).  The prefactor's own move is below rounding
+    value += s_slope * (ds / s)
     err = scale * (
         2.0**-52 * (_STRUVE_ULPS * struve_terms + _BESSEL_ULPS * bessel_terms)
-        + (big_x * ds_rel) ** 2 * bessel_terms
+        + (2.0 * ds) ** 2 * bessel_terms
     )
     return scale * value, err
 

@@ -32,6 +32,14 @@ def mp_hyp1f2(a: float, b1: float, b2: float, x: float, dps: int = 60) -> float:
         return float(mp.hyp1f2(a, b1, b2, x))
 
 
+def mp_spectral_1f2_miss(h: float, d1: float, d2: float, s: float, value: float) -> float:
+    """|value - 1F2(H+1/2; H+d1, H+d2; -s^2)| at 60 digits, with H and s
+    taken exactly as the doubles given, so the argument is not rounded."""
+    with mp.workdps(60):
+        hh, ss = mp.mpf(h), mp.mpf(s)
+        return float(abs(mp.mpf(value) - mp.hyp1f2(hh + 0.5, hh + d1, hh + d2, -ss * ss)))
+
+
 def oscillation_envelope(h: float, t: float, omega: float) -> float:
     """Amplitude of the leading oscillation of S(t, w) around omega^-(2H+1).
 
@@ -169,6 +177,35 @@ def worst_case_bias_scan(
     window = csum[wlen : wlen + nbins] - csum[:nbins]
     p = window / phases.size
     return float(np.max(np.abs(p - 0.5)))
+
+
+def bisect_min_dt(entropy_at, target: float, dt_min: float = 1e-12, dt_max: float = 1e30,
+                  rel_tol: float = 1e-6):
+    """Smallest dt with entropy_at(dt) >= target, one interval at a time.
+
+    From dt = 1, steps up by factors of 8 to the first interval that
+    reaches the target (None if none up to dt_max does), then down by
+    factors of 8 to one that does not (dt_min if none above dt_min
+    fails), then bisects geometrically, mid = sqrt(lo hi), until the
+    bracket is rel_tol of its upper end wide, and returns the upper end.
+    """
+    hi = 1.0
+    while entropy_at(hi) < target:
+        hi *= 8.0
+        if hi > dt_max:
+            return None
+    lo = hi
+    while lo > dt_min and entropy_at(lo) >= target:
+        lo /= 8.0
+    if lo <= dt_min:
+        return dt_min
+    while (hi - lo) > rel_tol * hi:
+        mid = math.sqrt(lo * hi)
+        if entropy_at(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def bias_series_exact(sigma2: float, alpha: float) -> float:

@@ -1,4 +1,3 @@
-import hashlib
 import json
 import math
 import os
@@ -116,26 +115,22 @@ class TestPackageLayout:
             assert fresh_out.read_bytes() == here_out.read_bytes()
 
     def test_first_cho_solve_in_fresh_process(self, tmp_path):
-        # both leakage call sites import scipy.linalg on first use
+        # discrete_posterior imports scipy.linalg on first use
         script = (
-            "import hashlib, sys\n"
+            "import sys\n"
             "import numpy as np\n"
             "from oscnoise import leakage\n"
             "from oscnoise.fbm import TimeGrid\n"
             "grid, y = TimeGrid(np.linspace(0.05, 1.0, 40)), np.sin(np.arange(40.0))\n"
             "print('scipy.linalg' in sys.modules)\n"
             "print(repr(leakage.discrete_posterior(1.45, grid, 1.2, y)))\n"
-            "paths = leakage.renewal_sample(0.7, grid, y, TimeGrid([1.5, 2.0]), 3, 5)\n"
-            "print(hashlib.sha256(paths.tobytes()).hexdigest())\n"
         )
         proc = _run_python(["-c", script], tmp_path)
         assert proc.returncode == 0, proc.stderr
         grid, y = TimeGrid(np.linspace(0.05, 1.0, 40)), np.sin(np.arange(40.0))
-        paths = leakage.renewal_sample(0.7, grid, y, TimeGrid([1.5, 2.0]), 3, 5)
         assert proc.stdout.splitlines() == [
             "False",
             repr(leakage.discrete_posterior(1.45, grid, 1.2, y)),
-            hashlib.sha256(paths.tobytes()).hexdigest(),
         ]
 
     def test_exports(self):
@@ -164,6 +159,21 @@ class TestPackageLayout:
         # ru_maxrss is in kilobytes on Linux
         per_sample = (int(run.stdout) - int(base.stdout)) * 1024 / 4e6
         assert per_sample < 100.0, per_sample
+
+    def test_spectrum_one_bessel_and_struve_call(self, monkeypatch, capsys):
+        # a grid across both branches costs one jv and one struve call
+        import scipy.special
+
+        calls = []
+        for name in ("jv", "struve"):
+            fn = getattr(scipy.special, name)
+            monkeypatch.setattr(
+                scipy.special, name, lambda *a, fn=fn, name=name: calls.append(name) or fn(*a)
+            )
+        argv = "spectrum --hurst 0.75 --avg-time 1 --omega-min 0.1 --omega-max 1000 --n-omega 50"
+        assert dispatch(argv.split()) == 0
+        assert "series" in capsys.readouterr().out
+        assert sorted(calls) == ["jv", "struve"]
 
     def test_trace_overflow_one_error_line(self, tmp_path):
         # no numpy warning ahead of the error
@@ -612,6 +622,18 @@ class TestDispatch:
             ("leakage --c-flicker 1 --gap 1e200", "time 1e+200 too large"),
             ("covariance --hurst 1.4 --s 1 --t 1e300", "time 1e+300 too large"),
             ("entropy --hurst 1.4 --dt 1e300 --alpha 0.5", "time 1e+300 too large"),
+            (
+                "leakage --c-flicker 1e200 --gap 1",
+                "phase variance c^2 Var(phi_t) at time 1.0 overflows",
+            ),
+            (
+                "entropy --c-flicker 1e200 --dt 1 --alpha 0.5",
+                "phase variance c^2 Var(phi_t) at time 1.0 overflows",
+            ),
+            (
+                "bandwidth --c-flicker 1e200 --alpha 0.5 --target 0.5",
+                "phase variance c^2 Var(phi_t) at time 1.0 overflows",
+            ),
         ],
     )
     def test_non_finite_time_exit_one(self, capsys, argv, message):

@@ -264,6 +264,66 @@ class TestSolveMinDt:
             entropy.solve_min_dt(NoiseMixture.single(0.5, 0.0), 0.5, 0.5)
 
 
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(0.01, 1.49), st.floats(1e-6, 1e6)),
+            min_size=1,
+            max_size=3,
+            unique_by=lambda pair: pair[0],
+        ),
+        alpha=st.floats(0.01, 0.99),
+        fraction=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    )
+    def test_matches_sequential_bisection(self, pairs, alpha, fraction):
+        # the batched bracket and speculative bisection land on the very
+        # interval the one-at-a-time search finds
+        mix = NoiseMixture.from_pairs(pairs)
+        target = fraction * -math.log2(0.5 + abs(alpha - 0.5))
+
+        def entropy_at(dt):
+            return entropy.min_entropy(leakage.conditional_variance(mix, dt), alpha)
+
+        want = _oracles.bisect_min_dt(entropy_at, target)
+        if want is None:
+            with pytest.raises(NoSolutionError):
+                entropy.solve_min_dt(mix, alpha, target)
+        else:
+            assert entropy.solve_min_dt(mix, alpha, target).hex() == want.hex()
+
+    @pytest.mark.parametrize("dt", [1.0, 0.125, math.sqrt(0.125)])
+    def test_ties_follow_sequential_bisection(self, dt):
+        # a target equal to the entropy at a bracket candidate, or at the
+        # first midpoint of the bracket [1/8, 1], moves the same end
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+
+        def entropy_at(t):
+            return entropy.min_entropy(leakage.conditional_variance(mix, t), 0.5)
+
+        target = entropy_at(dt)
+        want = _oracles.bisect_min_dt(entropy_at, target)
+        assert entropy.solve_min_dt(mix, 0.5, target).hex() == want.hex()
+
+    @pytest.mark.parametrize("alpha", [0.3, 0.5, 0.77])
+    def test_bias_calls_per_solve(self, monkeypatch, alpha):
+        # the benchmark's design points (white 1, flicker 0.5, 90% of the
+        # supremum): one call for the bracket, then four bisection levels
+        # per call
+        calls = []
+        bias = entropy.bias
+        monkeypatch.setattr(entropy, "bias", lambda *args: calls.append(1) or bias(*args))
+        mix = NoiseMixture.white_flicker(1.0, 0.5)
+        entropy.solve_min_dt(mix, alpha, 0.9 * -math.log2(0.5 + abs(alpha - 0.5)))
+        assert len(calls) <= 8
+
+    def test_overflowing_candidates_are_not_evaluated(self):
+        # c^2 Var overflows from dt = 8^5 on; the search never needs those
+        # bracket candidates, so it answers as the one-at-a-time search does
+        mix = NoiseMixture.single(1.0, 1e150)
+        assert entropy.solve_min_dt(mix, 0.5, 0.5) == 1e-12
+        with pytest.raises(DomainError, match="overflows"):
+            entropy.solve_min_dt(NoiseMixture.single(1.0, 1e200), 0.5, 0.5)
+
     @pytest.mark.parametrize(
         "kwargs",
         [

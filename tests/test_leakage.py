@@ -108,61 +108,3 @@ class TestDiscretePosterior:
     def test_unconditional_target_must_be_positive(self):
         with pytest.raises(DomainError, match="positive"):
             leakage.discrete_posterior(0.5, None, 0.0, None)
-
-
-class TestRenewalSample:
-    def test_empty_history_matches_plain_simulation(self):
-        future = TimeGrid(np.linspace(1.0, 2.0, 8))
-        a = leakage.renewal_sample(0.8, None, [], future, 5, seed=11)
-        b = fbm.simulate(0.8, future, 5, seed=11)
-        assert np.array_equal(a, b)
-
-    def test_deterministic_per_seed(self):
-        hist = TimeGrid(np.array([0.5, 1.0]))
-        future = TimeGrid(np.array([1.5, 2.0]))
-        a = leakage.renewal_sample(0.8, hist, [0.1, -0.2], future, 3, seed=2)
-        b = leakage.renewal_sample(0.8, hist, [0.1, -0.2], future, 3, seed=2)
-        assert np.array_equal(a, b)
-
-    def test_empirical_conditional_moments(self):
-        h = 0.75
-        hist = TimeGrid(np.linspace(0.2, 1.0, 10))
-        obs = np.linspace(-0.1, 0.4, 10)
-        tau1, tau2 = 0.3, 0.8
-        future = TimeGrid(np.array([1.0 + tau1, 1.0 + tau2]))
-        n = 10_000
-        paths = leakage.renewal_sample(h, hist, obs, future, n, seed=13)
-        centered = paths - paths.mean(axis=1, keepdims=True)
-        v1 = float(np.mean(centered[0] ** 2))
-        v2 = float(np.mean(centered[1] ** 2))
-        c12 = float(np.mean(centered[0] * centered[1]))
-        th1 = fbm.variance(h, tau1)
-        th2 = fbm.variance(h, tau2)
-        thc = fbm.covariance(h, tau1, tau2)
-        # 3 standard errors for second moments of Gaussians
-        assert abs(v1 - th1) < 3.0 * th1 * math.sqrt(2.0 / n)
-        assert abs(v2 - th2) < 3.0 * th2 * math.sqrt(2.0 / n)
-        se_c = math.sqrt((th1 * th2 + thc**2) / n)
-        assert abs(c12 - thc) < 3.0 * se_c
-
-    def test_future_must_follow_history(self):
-        hist = TimeGrid(np.array([1.0]))
-        with pytest.raises(DomainError):
-            leakage.renewal_sample(0.5, hist, [0.0], TimeGrid(np.array([0.5])), 1, seed=0)
-
-    @pytest.mark.parametrize("observations", [[0.0], None])
-    def test_observations_must_match_grid(self, observations):
-        hist = TimeGrid(np.array([0.5, 1.0]))
-        future = TimeGrid(np.array([1.5]))
-        with pytest.raises(DomainError, match="one observation per time"):
-            leakage.renewal_sample(0.5, hist, observations, future, 1, seed=0)
-
-    def test_observations_without_grid(self):
-        future = TimeGrid(np.array([1.5]))
-        with pytest.raises(DomainError, match="without observed_times"):
-            leakage.renewal_sample(0.5, None, [0.1], future, 1, seed=0)
-
-    def test_negative_seed(self):
-        future = TimeGrid(np.array([1.5]))
-        with pytest.raises(DomainError, match="seed"):
-            leakage.renewal_sample(0.5, None, None, future, 1, seed=-1)

@@ -226,6 +226,22 @@ class TestHyp1F2:
                 specfun.hyp1f2(1.0, 1.5, 2.0, x)
 
 
+class TestSpectralKernel:
+    @pytest.mark.parametrize("h", [0.05, 0.3, 0.5, 0.75, 1.0, 1.25, 1.49])
+    @pytest.mark.parametrize(
+        "family, d1, d2", [("instantaneous", 1.0, 1.5), ("averaged", 1.5, 2.0)]
+    )
+    def test_within_error_estimate_at_double_s(self, h, family, d1, d2):
+        # one array call over both branches: s = 1 and its neighbours, where
+        # the series hands over to the closed form, and the largest s
+        s = np.array([math.nextafter(1.0, 0.0), 1.0, math.nextafter(1.0, 2.0),
+                      math.nextafter(5e14, 0.0), 5e14])
+        values, errors, branches = specfun._spectral_1f2(h, s, family)
+        assert branches.tolist() == ["series"] * 2 + ["bessel"] * 3
+        for si, value, err in zip(s.tolist(), values.tolist(), errors.tolist()):
+            assert _oracles.mp_spectral_1f2_miss(h, d1, d2, si, value) <= err, (si, value, err)
+
+
 def _theta3(z, q):
     # theta_3(z | q) is the unit-period wrapped Gaussian density at z/pi
     # with variance -ln(q)/(2 pi^2), 0 < q < 1

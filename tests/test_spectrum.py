@@ -173,6 +173,33 @@ class TestTimeAveraged:
             assert slope == pytest.approx(-(2 * h + 1), abs=0.05)
 
 
+class TestArrayOmega:
+    @pytest.mark.parametrize("fn, h, t", [(spectrum.instantaneous, 1.2, 2.0),
+                                          (spectrum.time_averaged, 0.75, 1.0)])
+    def test_matches_scalar_calls(self, fn, h, t):
+        # one call over a grid across both branches, point for point the
+        # scalar call's bits
+        omegas = np.logspace(-2, 4, 25)
+        pts = fn(h, t, omegas)
+        assert pts.omega.shape == pts.value.shape == pts.branch.shape == omegas.shape
+        for om, value, branch in zip(omegas.tolist(), pts.value.tolist(), pts.branch.tolist()):
+            one = fn(h, t, om)
+            assert (one.omega, one.value, one.branch) == (om, value, branch)
+
+    @pytest.mark.parametrize(
+        "omegas, message",
+        [
+            ([1.0, 1e300, -1.0], "t*omega = 1e+300 exceeds 500000000000000.0"),
+            ([1.0, -1.0, 1e300], "t and omega must be positive and finite, got (1.0, -1.0)"),
+            ([math.nan, 1e300], "t and omega must be positive and finite, got (1.0, nan)"),
+        ],
+    )
+    def test_first_offending_omega_named(self, omegas, message):
+        with pytest.raises(DomainError) as info:
+            spectrum.instantaneous(1.0, 1.0, np.array(omegas))
+        assert str(info.value) == message
+
+
 class TestEmpiricalPeriodogram:
     def test_simulated_trace_slope(self):
         # Welch-style average over simulated paths, central decade
