@@ -3,14 +3,17 @@
 The variance of the overlapping second difference of the phase at lag h
 has the closed leading form
 
-    Var(D2 phi at lag h) = h^(2H) (4 - 4^H) csc(H pi) / Gamma(2H+1)
-                           * (1 + O((h/t)^(4-2H)))
+    Var(D2 phi at lag h) = C(H) h^(2H) * (1 + O((h/t)^(4-2H))),
+    C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1),
 
 with the H = 1 pole removable: the constant tends to 4 ln2 / pi there.
-Since second differences annihilate affine drift, the statistic isolates
-the stochastic phase, and fitting the measured curve against the white
-and flicker basis {2h, (4 ln2/pi) h^2} recovers the mixture coefficients
-from a raw trace, a :class:`PhaseTrace`.
+That law, C(H) included, lives in ``fbm`` (``fbm.avar_constant``), next
+to the trace generator that draws from it; this module estimates the
+curve from a raw trace, a :class:`PhaseTrace`, and fits it.  Since
+second differences annihilate affine drift, the statistic isolates the
+stochastic phase, and fitting the measured curve against the white and
+flicker basis {C(1/2) h, C(1) h^2} = {2h, (4 ln2/pi) h^2} recovers the
+mixture coefficients.
 
 :func:`estimate` measures the curve at every lag from one FFT
 autocorrelation of the trace's increments, centred so that drift never
@@ -23,25 +26,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, TraceFormatError
-from .fbm import _as_hurst
+from .fbm import _as_hurst, _fast_len, avar_constant
 
 __all__ = [
     "AllanCurve",
     "FitResult",
     "PhaseTrace",
     "avar_constant",
-    "diff_covariance",
     "estimate",
     "fit_mixture",
     "theoretical_d2_variance",
 ]
-
-_C_FLICKER = 4.0 * math.log(2.0) / math.pi
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,10 @@ class FitResult:
 
     ``c_white`` (rad s^-1/2) and ``c_flicker`` (rad s^-1) are the square
     roots of the fitted nonnegative basis weights; ``covariance_of_fit``
-    is the 2x2 covariance of the weights themselves.
+    is the 2x2 covariance of the weights themselves.  Its entries are NaN
+    when the weighted normal matrix is singular, and infinite where they
+    overflow, as for a trace scaled by 1e100; the ``calibrate`` command
+    prints such entries as ``null``.
     """
 
     c_white: float
@@ -122,70 +125,11 @@ class FitResult:
     covariance_of_fit: np.ndarray
 
 
-def avar_constant(h) -> float:
-    """Lag-independent constant C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1).
-
-    Evaluated as -4 expm1((H-1) ln4) / ((-1)^n sin((H-n) pi)) / Gamma(2H+1)
-    with n = round(H), so that H-1 and H-n are exact and neither factor
-    loses digits near H = 1/2 or H = 1; at H = 1, the removable
-    singularity, it is the limit 4 ln2 / pi.
-    """
-    h = _as_hurst(h).h
-    if h == 1.0:
-        return _C_FLICKER
-    n = round(h)
-    sin_h_pi = (-1.0) ** n * math.sin((h - n) * math.pi)
-    return -4.0 * math.expm1((h - 1.0) * math.log(4.0)) / sin_h_pi / math.gamma(2.0 * h + 1.0)
-
-
 def theoretical_d2_variance(h, lag_h: float) -> float:
     """Leading-order Var of the second difference at lag h: C(H) h^(2H)."""
     if lag_h <= 0 or not math.isfinite(lag_h):
         raise DomainError(f"lag must be positive, got {lag_h}")
     return avar_constant(h) * lag_h ** (2.0 * _as_hurst(h).h)
-
-
-_STENCILS = {1: ((0.0, -1.0), (1.0, 1.0)), 2: ((0.0, 1.0), (1.0, -2.0), (2.0, 1.0))}
-
-
-def diff_covariance(
-    cov_fn: Callable[[float, float], float],
-    order: int,
-    t: float,
-    s: float,
-    lag_h: float,
-) -> float:
-    """Covariance of differenced processes from the raw covariance kernel.
-
-    Differencing commutes with covariance, so the result is the iterated
-    finite difference of ``cov_fn`` in both arguments: a 4-point stencil
-    for first differences, 9-point for second differences.
-    """
-    if order not in _STENCILS:
-        raise DomainError(f"order must be 1 or 2, got {order}")
-    if lag_h <= 0:
-        raise DomainError(f"lag must be positive, got {lag_h}")
-    stencil = _STENCILS[order]
-    total = 0.0
-    for off_i, w_i in stencil:
-        for off_j, w_j in stencil:
-            total += w_i * w_j * cov_fn(t + off_i * lag_h, s + off_j * lag_h)
-    return total
-
-
-def _fast_len(n: int) -> int:
-    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, n >= 1: a length the
-    real FFT factors into radix-2, -3 and -5 passes only."""
-    best = 1 << (n - 1).bit_length()
-    p5 = 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            # p35 times the smallest power of two reaching n
-            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
-            p35 *= 3
-        p5 *= 5
-    return best
 
 
 def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
@@ -305,7 +249,7 @@ def fit_mixture(curve: AllanCurve) -> FitResult:
     """Recover (c_white, c_flicker) from a measured curve.
 
     Nonnegative least squares of the variances against the basis
-    {2 h, (4 ln2 / pi) h^2}, each row weighted by the inverse of its
+    {C(1/2) h, C(1) h^2} = {2 h, (4 ln2 / pi) h^2}, each row weighted by the inverse of its
     standard error; linear-space fitting preserves the additivity of
     component variances exactly.  The overlapping estimator at lag m with
     ``count`` differences has relative standard error about
@@ -317,31 +261,47 @@ def fit_mixture(curve: AllanCurve) -> FitResult:
     otherwise a common scale that changes only ``residual_norm``.
     ``covariance_of_fit`` and ``residual_norm`` come from the same
     weighted rows as the second fit.
+
+    The fit runs on the variances over 2^k, k the binary exponent of the
+    largest, so that no sum of squares of them or of their inverses
+    leaves the double range.  The weights scale back by 2^k and their
+    covariance by 2^2k, exactly, and the weighted residual does not
+    scale.  A covariance entry beyond the double range is then infinite
+    or 0.
     """
     lags = curve.lags
     if lags.size < 2 or lags[-1] / lags[0] < 10.0:
         raise DomainError("fit needs >= 2 lags spanning at least one decade")
-    A = np.column_stack([2.0 * lags, _C_FLICKER * lags**2])
+    A = np.column_stack([avar_constant(0.5) * lags, avar_constant(1.0) * lags**2])
     counts = curve.counts.astype(float)
+    k = math.frexp(float(curve.variances.max()))[1]
+    variances = np.ldexp(curve.variances, -k)
 
     w = np.sqrt(counts)
-    weights = _nnls2(A * w[:, None], curve.variances * w)
+    weights = _nnls2(A * w[:, None], variances * w)
     if weights.any():
         # the model variance is positive at every lag once any weight is
         rel_se = np.sqrt(4.0 * (lags / lags[0]) / (3.0 * counts))
         w = 1.0 / ((A @ weights) * rel_se)
-        weights = _nnls2(A * w[:, None], curve.variances * w)
+        weights = _nnls2(A * w[:, None], variances * w)
     Aw = A * w[:, None]
-    res = Aw @ weights - curve.variances * w
+    res = Aw @ weights - variances * w
     dof = max(lags.size - 2, 1)
     gram = Aw.T @ Aw
     try:
         cov = np.linalg.inv(gram) * float(res @ res) / dof
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
+    with np.errstate(over="ignore"):
+        cov = np.ldexp(cov, 2 * k)
+    # sqrt(w 2^k) as sqrt(w 2^(k mod 2)) 2^(k // 2): the same bits, and no
+    # digit lost where w 2^k would be subnormal
+    c_white, c_flicker = (
+        math.ldexp(math.sqrt(math.ldexp(float(v), k % 2)), k // 2) for v in weights
+    )
     return FitResult(
-        c_white=math.sqrt(weights[0]),
-        c_flicker=math.sqrt(weights[1]),
+        c_white=c_white,
+        c_flicker=c_flicker,
         residual_norm=float(np.linalg.norm(res)),
         covariance_of_fit=cov,
     )

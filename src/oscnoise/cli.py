@@ -403,7 +403,15 @@ def _cmd_avar(args) -> int:
         lag, var = float(lag), float(var)
         if trace.f0 is not None:
             # classic Allan convention for fractional frequency
-            norm = var / (2.0 * lag**2 * (2.0 * math.pi * trace.f0) ** 2)
+            try:
+                norm = var / (2.0 * lag**2 * (2.0 * math.pi * trace.f0) ** 2)
+            except (ZeroDivisionError, OverflowError):
+                norm = math.inf
+            if not math.isfinite(norm):
+                raise DomainError(
+                    f"f0 = {trace.f0!r} puts the normalised variance at lag "
+                    f"{lag!r} s out of the double range"
+                )
             norm_txt = repr(norm)
         else:
             norm_txt = "nan"
@@ -420,7 +428,11 @@ def _cmd_calibrate(args) -> int:
         "c_white": fit.c_white,
         "c_flicker": fit.c_flicker,
         "residual_norm": fit.residual_norm,
-        "covariance_of_fit": [[float(v) for v in row] for row in fit.covariance_of_fit],
+        # strict JSON: an entry that overflowed, or NaN of a singular fit, is null
+        "covariance_of_fit": [
+            [float(v) if math.isfinite(v) else None for v in row]
+            for row in fit.covariance_of_fit
+        ],
         "n_lags": int(curve.lags.size),
         "max_abs_d2_mean": float(np.max(np.abs(curve.d2_means))),
     }

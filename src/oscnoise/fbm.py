@@ -12,11 +12,15 @@ covariance of a single component is
 
 with Var(phi_t) = t^(2H) / (2H Gamma(H+1/2)^2).  Exact simulation on an
 arbitrary grid goes through a Cholesky factor of that covariance.
-Calibration-length traces on uniform grids are drawn through the law of
-their second differences, the only part of a trace the Allan statistic
-sees: the stationary t -> infinity limit of the model, drawn exactly by
-circulant embedding in O(n log n) time and O(n) memory, with the affine
-part that second differences do not see pinned (see ``simulate_trace``).
+
+This module owns the law of the second differences, the only part of a
+trace the Allan statistic sees: at lag h their variance is
+C(H) h^(2H) in the stationary t -> infinity limit of the model, with
+C(H) of ``avar_constant``.  Calibration-length traces on uniform grids
+are drawn through that law, exactly, by circulant embedding in
+O(n log n) time and O(n) memory, with the affine part that second
+differences do not see pinned (see ``simulate_trace``).  ``allan``
+estimates the curve from traces and fits the same C(H) to it.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ __all__ = [
     "NoiseMixture",
     "TimeGrid",
     "RNG_ALGORITHM",
+    "avar_constant",
     "covariance",
     "covariance_matrix",
     "cholesky_with_jitter",
@@ -151,6 +156,22 @@ def variance(h, t: float) -> float:
     except OverflowError:
         raise DomainError(f"time {t} too large: t^(2H) overflows at H = {h}") from None
     return power / (2.0 * h * math.gamma(h + 0.5) ** 2)
+
+
+def avar_constant(h) -> float:
+    """Lag-independent constant C(H) = (4 - 4^H) csc(H pi) / Gamma(2H+1).
+
+    Evaluated as -4 expm1((H-1) ln4) / ((-1)^n sin((H-n) pi)) / Gamma(2H+1)
+    with n = round(H), so that H-1 and H-n are exact and neither factor
+    loses digits near H = 1/2 or H = 1; at H = 1, the removable
+    singularity, it is the limit 4 ln2 / pi.
+    """
+    h = _as_hurst(h).h
+    if h == 1.0:
+        return 4.0 * math.log(2.0) / math.pi
+    n = round(h)
+    sin_h_pi = (-1.0) ** n * math.sin((h - n) * math.pi)
+    return -4.0 * math.expm1((h - 1.0) * math.log(4.0)) / sin_h_pi / math.gamma(2.0 * h + 1.0)
 
 
 def cross_covariance(model, s, t) -> np.ndarray:
@@ -354,11 +375,26 @@ _SERIES_RANGES = (3, 64)
 _EIGEN_RTOL = 1e-10
 
 
+def _fast_len(n: int) -> int:
+    """Smallest 5-smooth integer 2^a 3^b 5^c >= n, n >= 1: a length the
+    real FFT factors into radix-2, -3 and -5 passes only."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _diff_autocovariance(h: float, order: int, m: int) -> np.ndarray:
     # autocovariance at lags 0..m of the lag-one differences of the given
     # order (1 or 2) of the stationary-increment limit of phi^H, unit
     # coefficient and dt = 1, scaled so that the second differences have
-    # variance C(H) of allan.avar_constant.  With G(t) = -|t|^(2H)/2
+    # variance C(H) of avar_constant.  With G(t) = -|t|^(2H)/2
     # (H < 1), +|t|^(2H)/2 (H > 1) or t^2 ln|t| (H = 1), the generalised
     # covariance, it is (-1)^p delta^(2p) G for order p, delta the central
     # difference.  delta^(2p) annihilates t^(2p-2), so every H differences
@@ -371,9 +407,7 @@ def _diff_autocovariance(h: float, order: int, m: int) -> np.ndarray:
     # i = 0..2n-1 but i = 2p - 2.  Its terms share a sign and term n+1 is
     # below (p/k)^2 of term n.  Stencil values that vanish as H tends to
     # 1/2 (or, at lag 2 of p = 2, to 3/2) keep the rounding of gamma(0),
-    # not their own.  allan imports this module, hence the late imports
-    from .allan import avar_constant
-
+    # not their own
     x = 2.0 * h - 2 * order + 2
 
     def f(t):
@@ -432,8 +466,6 @@ def _embedded_draws(h: float, order: int, n: int, rng: np.random.Generator) -> n
     # were checked numerically (H to 1.4999, m to 2^22).  Second differences
     # at H < 1/2 have a positive tail, which the row misses, so their
     # zero-frequency eigenvalue is negative at every m
-    from .allan import _fast_len
-
     m = _fast_len(max(n - 1, 1))
     gamma = _diff_autocovariance(h, order, m)
     row = np.concatenate((gamma, gamma[-2:0:-1]))
@@ -470,7 +502,7 @@ def simulate_trace(mix: NoiseMixture, n_samples: int, dt: float, seed: int) -> n
     model.  At lag dt their autocovariance is the fourth central
     difference of the generalised covariance -|t|^(2H)/2 (H < 1),
     +|t|^(2H)/2 (H > 1) or t^2 ln|t| (H = 1), scaled so that
-    gamma(0) = c^2 C(H) dt^(2H) with C(H) of ``allan.avar_constant``.
+    gamma(0) = c^2 C(H) dt^(2H) with C(H) of ``avar_constant``.
     They are drawn exactly by circulant embedding (Davies & Harte 1987;
     Wood & Chan 1994).  One real FFT of the embedded autocovariance gives
     its eigenvalues, which must be nonnegative to rounding or

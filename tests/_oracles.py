@@ -284,6 +284,25 @@ def allan_loop_estimate(trace, lags):
     )
 
 
+_STENCILS = {1: ((0.0, -1.0), (1.0, 1.0)), 2: ((0.0, 1.0), (1.0, -2.0), (2.0, 1.0))}
+
+
+def diff_covariance(cov_fn, order: int, t: float, s: float, lag_h: float) -> float:
+    """Covariance of the order-1 or order-2 lag-h differences at times t and
+    s, from the raw covariance kernel ``cov_fn``.
+
+    Differencing commutes with covariance, so the result is the iterated
+    finite difference of ``cov_fn`` in both arguments: a 4-point stencil
+    for first differences, 9-point for second differences.
+    """
+    stencil = _STENCILS[order]
+    total = 0.0
+    for off_i, w_i in stencil:
+        for off_j, w_j in stencil:
+            total += w_i * w_j * cov_fn(t + off_i * lag_h, s + off_j * lag_h)
+    return total
+
+
 def fft_fast_len(n: int) -> int:
     """scipy's fast length for a real FFT of at least n points."""
     return scipy.fft.next_fast_len(n, real=True)

@@ -776,6 +776,51 @@ class TestDispatch:
             assert dispatch(["calibrate", "--in", trace_path, "--lags", spec]) == 0
             capsys.readouterr()
 
+    @staticmethod
+    def _strict_json(text):
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        return json.loads(text, parse_constant=reject)
+
+    @pytest.mark.parametrize("scale", [1e150, 1e100, 1e-100, 1e-150, 1e-160])
+    def test_calibrate_extreme_scale(self, tmp_path, capsys, scale):
+        # the same random walk, scaled: the fit scales with it, and an
+        # overflowed covariance entry prints as null
+        x = np.cumsum(np.random.default_rng(0).standard_normal(2000))
+        argv = ["calibrate", "--format", "raw_f64_le", "--dt", "1", "--lags", "1:100"]
+        fits = []
+        for values in (x, x * scale):
+            path = str(tmp_path / "t.raw")
+            values.astype("<f8").tofile(path)
+            assert dispatch(argv + ["--in", path]) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            fits.append(self._strict_json(captured.out))
+        plain, scaled = fits
+        # at 1e-160 the variances, near 1e-318, are subnormal and carry only
+        # a few digits; the fit of them is then only as good as they are
+        rel = 1e-3 if scale < 1e-155 else 1e-12
+        for key in ("c_white", "c_flicker"):
+            assert scaled[key] == pytest.approx(plain[key] * scale, rel=rel), key
+        # the weights c^2 scale by scale^2, their covariance by scale^4
+        with np.errstate(over="ignore"):
+            want = np.array(plain["covariance_of_fit"]) * scale**2 * scale**2
+        got = np.array(scaled["covariance_of_fit"], dtype=float)  # null -> nan
+        finite = np.isfinite(want)
+        np.testing.assert_array_equal(np.isnan(got), ~finite)
+        np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("f0", ["1e-200", "1e200", "1e-160"])
+    def test_avar_f0_out_of_range_exit_one(self, tmp_path, capsys, f0):
+        path = str(tmp_path / "t.csv")
+        samples = np.array([0.0, 1.0, 0.5, 2.0, 1.0, 3.0, 2.5])
+        write_trace(PhaseTrace(dt=1.0, samples=samples), path)
+        assert dispatch(["avar", "--in", path, "--lags", "1,2", "--f0", f0]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert captured.err.startswith(f"oscnoise: error: f0 = {float(f0)!r} ")
+
     def test_identical_argv_identical_stdout(self, capsys):
         argv = "entropy --c-white 1 --c-flicker 0.5 --dt 1e-6 --alpha 0.4".split()
         assert dispatch(argv) == 0
