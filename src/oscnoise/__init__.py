@@ -31,7 +31,6 @@ from .errors import (
     TraceFormatError,
 )
 from .fbm import HurstExponent, NoiseMixture, TimeGrid
-from .specfun import Tolerance
 
 __version__ = "0.1.0"
 
@@ -49,7 +48,6 @@ __all__ = [
     "PhaseTrace",
     "SecurityReport",
     "TimeGrid",
-    "Tolerance",
     "TraceFormatError",
     "allan",
     "cli",

@@ -163,6 +163,12 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
     its d_n are summed directly from the prefix sums of y.  Cost: one FFT
     of the trace plus O(m) per lag m, so it barely grows with the number
     of lags.
+
+    The centred increments are divided by a power of two that brings the
+    largest below 1 before anything is squared, and the sums scale back
+    exactly.  A nonzero variance that then overflows or underflows to 0
+    raises ``DomainError`` naming the size of the increments, as do
+    increments or a largest lag in seconds beyond the double range.
     """
     x = np.asarray(trace.samples, dtype=float)
     ms = [int(m) for m in lags]
@@ -176,13 +182,25 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
             f"trace of {x.size} samples cannot support lag {mmax} "
             f"(needs {2 * mmax + 1})"
         )
+    if not math.isfinite(mmax * trace.dt):
+        raise DomainError(f"lag {mmax} at dt = {trace.dt} overflows the double range")
     span = 2 * mmax
     # the increments, written straight into the zero-padded FFT input
     size = _fast_len(x.size - 1 + span)
     padded = np.zeros(size)
     y = padded[: x.size - 1]
-    np.subtract(x[1:], x[:-1], out=y)
-    y -= y.mean()
+    # overflow is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.subtract(x[1:], x[:-1], out=y)
+        y -= y.mean()
+    y_max = max(y.max(), -y.min())
+    if not math.isfinite(y_max):
+        raise DomainError("trace increments overflow the double range")
+    # the increments over 2^p, p the binary exponent of the largest, so that
+    # no square of them leaves the double range; the sums scale back by 2^2p
+    # and 2^p, exactly
+    p = math.frexp(y_max)[1]
+    np.ldexp(y, -p, out=y)
     # prefix sums of the first and of the last (reversed) span increments
     head = np.concatenate(([0.0], np.cumsum(y[:span])))
     tail = np.concatenate(([0.0], np.cumsum(y[: -span - 1 : -1])))
@@ -219,11 +237,16 @@ def estimate(trace: PhaseTrace, lags: Sequence[int]) -> AllanCurve:
         total -= starts @ starts + ends @ ends
         variances[i] = max(total, 0.0) / counts[i]
         means[i] = -(starts.sum() + ends.sum()) / counts[i]
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(variances, 2 * p)
+    lost = ~np.isfinite(scaled) | ((scaled == 0.0) & (variances > 0.0))
+    if lost.any():
+        raise DomainError(f"increments up to {y_max:.3g} put a variance out of the double range")
     return AllanCurve(
         lags=np.array(ms, dtype=float) * trace.dt,
-        variances=variances,
+        variances=scaled,
         counts=counts,
-        d2_means=means,
+        d2_means=np.ldexp(means, p),
     )
 
 
@@ -263,19 +286,24 @@ def fit_mixture(curve: AllanCurve) -> FitResult:
     weighted rows as the second fit.
 
     The fit runs on the variances over 2^k, k the binary exponent of the
-    largest, so that no sum of squares of them or of their inverses
-    leaves the double range.  The weights scale back by 2^k and their
-    covariance by 2^2k, exactly, and the weighted residual does not
-    scale.  A covariance entry beyond the double range is then infinite
-    or 0.
+    largest, and on the lags over 2^e, e the binary exponent of the
+    smallest less one, so that no basis column and no sum of squares of
+    the variances or of their inverses leaves the double range.  A
+    smallest lag in [1, 2) s is not scaled.  The weights scale back by
+    2^(k-e) and 2^(k-2e) and their covariance by the products of those,
+    exactly, and the weighted residual does not scale.  A covariance
+    entry beyond the double range is then infinite or 0.
     """
     lags = curve.lags
     if lags.size < 2 or lags[-1] / lags[0] < 10.0:
         raise DomainError("fit needs >= 2 lags spanning at least one decade")
+    e = math.frexp(float(lags[0]))[1] - 1
+    lags = np.ldexp(lags, -e)
     A = np.column_stack([avar_constant(0.5) * lags, avar_constant(1.0) * lags**2])
     counts = curve.counts.astype(float)
     k = math.frexp(float(curve.variances.max()))[1]
     variances = np.ldexp(curve.variances, -k)
+    shifts = np.array([k - e, k - 2 * e])
 
     w = np.sqrt(counts)
     weights = _nnls2(A * w[:, None], variances * w)
@@ -293,11 +321,12 @@ def fit_mixture(curve: AllanCurve) -> FitResult:
     except np.linalg.LinAlgError:
         cov = np.full((2, 2), np.nan)
     with np.errstate(over="ignore"):
-        cov = np.ldexp(cov, 2 * k)
-    # sqrt(w 2^k) as sqrt(w 2^(k mod 2)) 2^(k // 2): the same bits, and no
-    # digit lost where w 2^k would be subnormal
+        cov = np.ldexp(cov, shifts[:, None] + shifts)
+    # sqrt(w 2^s) as sqrt(w 2^(s mod 2)) 2^(s // 2): the same bits, and no
+    # digit lost where w 2^s would be subnormal or overflow
     c_white, c_flicker = (
-        math.ldexp(math.sqrt(math.ldexp(float(v), k % 2)), k // 2) for v in weights
+        math.ldexp(math.sqrt(math.ldexp(float(v), s % 2)), s // 2)
+        for v, s in zip(weights, shifts.tolist())
     )
     return FitResult(
         c_white=c_white,

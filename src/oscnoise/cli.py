@@ -7,8 +7,9 @@ identical arguments.
 
 Trace CSV format: a first header line ``# dt=<seconds> f0=<hz>`` (f0
 optional, extra ``key=value`` tokens preserved as metadata), optional
-further ``#`` comment lines, then one sample (radians) per line.  The
-raw format is little-endian float64 with dt/f0 supplied via flags.
+further ``#`` comment lines, then one sample (radians) per line.  Traces
+are written as CSV; ``avar`` and ``calibrate`` also read the raw format,
+little-endian float64 with dt/f0 supplied via flags.
 """
 
 from __future__ import annotations
@@ -141,19 +142,13 @@ def _read_trace(path: str, fmt: str, dt: float | None, f0: float | None) -> Phas
     return PhaseTrace(dt=dt, samples=values[:, 0], f0=f0, source=path)
 
 
-def write_trace(trace: PhaseTrace, path: str | None, fmt: str = "csv") -> None:
-    """Write a trace so that ``read_trace`` reproduces it bit-exactly.
+def write_trace(trace: PhaseTrace, path: str | None) -> None:
+    """Write a trace as CSV so that ``read_trace`` reproduces it bit-exactly.
 
     An empty or ``None`` path writes to stdout.  A file that cannot be
     opened or written, a full device included, raises ``OSError`` with
     ``filename`` set to ``path``.
     """
-    if fmt == "raw_f64_le":
-        with _output(path, "wb") as fh:
-            fh.write(trace.samples.astype("<f8"))
-        return
-    if fmt != "csv":
-        raise TraceFormatError(f"unknown trace format {fmt!r}")
     with _output(path) as fh:
         header = f"# dt={trace.dt!r}"
         if trace.f0 is not None:
@@ -168,16 +163,16 @@ def write_trace(trace: PhaseTrace, path: str | None, fmt: str = "csv") -> None:
 
 
 @contextlib.contextmanager
-def _output(path: str | None, mode: str = "w"):
-    # the file at path, ASCII text or "wb", or stdout when path is empty.
+def _output(path: str | None):
+    # the ASCII text file at path, or stdout when path is empty.
     # An OSError from opening, writing or closing it names the path, since
     # a failed write (as on a full device) carries no file name.
     try:
         if not path:
-            yield sys.stdout.buffer if "b" in mode else sys.stdout
+            yield sys.stdout
             sys.stdout.flush()
         else:
-            with open(path, mode, encoding=None if "b" in mode else "ascii") as fh:
+            with open(path, "w", encoding="ascii") as fh:
                 yield fh
     except OSError as exc:
         if not path:

@@ -181,6 +181,8 @@ def cross_covariance(model, s, t) -> np.ndarray:
     ``s`` and ``t`` broadcast against each other and the result has their
     broadcast shape.  A mixture sums c_H^2 times each component.  The value
     is symmetric in (s, t) bit for bit and zero where either time is zero.
+    A value that overflows the double range raises ``DomainError``, as in
+    ``variance``.
     """
     lo = np.minimum(s, t, dtype=float)
     hi = np.maximum(s, t, dtype=float)
@@ -194,8 +196,12 @@ def cross_covariance(model, s, t) -> np.ndarray:
         return out
     z = lo / hi
     out = np.zeros(lo.shape)
-    for h, scale in _components(model):
-        out += _term(specfun.hyp2f1_curve(h, z), lo ** (h + 0.5) * hi ** (h - 0.5), scale)
+    # overflow is reported once, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for h, scale in _components(model):
+            out += _term(specfun.hyp2f1_curve(h, z), lo ** (h + 0.5) * hi ** (h - 0.5), scale)
+    if not np.isfinite(out).all():
+        raise DomainError(f"covariance overflows the double range at times up to {hi.max()}")
     return out
 
 
@@ -285,6 +291,8 @@ def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     exactly symmetric.  The ratios s/t are built once, packed row by row,
     and each component takes one ``specfun.hyp2f1_curve`` call over them;
     the powers come from the 2n per-point powers t^(H+1/2) and t^(H-1/2).
+    A covariance that overflows the double range raises ``DomainError``,
+    as in ``cross_covariance``.
 
     Working memory is K plus about three packed triangles of n(n+1)/2
     doubles, K being about two of them.  The ratios, the running sum over
@@ -303,10 +311,15 @@ def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     z = np.empty(n * (n + 1) // 2)
     for r0, r1, packed, mask in _row_blocks(n):
         z[packed] = (ts[r0:r1, None] / ts[r0:])[mask]
-    total = _packed_term(ts, z, *components[0])
-    for h, scale in components[1:]:
-        total += _packed_term(ts, z, h, scale)
+    # overflow is reported once, below; every entry is positive, so one
+    # maximum finds an infinite or NaN one without a temporary array
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = _packed_term(ts, z, *components[0])
+        for h, scale in components[1:]:
+            total += _packed_term(ts, z, h, scale)
     del z
+    if not math.isfinite(total.max()):
+        raise DomainError(f"covariance overflows the double range at times up to {ts[-1]}")
     K = np.empty((n, n))
     for r0, r1, packed, mask in _row_blocks(n):
         K[r0:r1, r0:][mask] = total[packed]

@@ -44,10 +44,7 @@ def conditional_variance(mix: NoiseMixture, gap_tau: float) -> float:
 
 
 def discrete_posterior(
-    h,
-    observed_times: TimeGrid | None,
-    target_t: float,
-    observations,
+    h, observed_times: TimeGrid, target_t: float, observations
 ) -> tuple[float, float]:
     """Gaussian conditional (mean, variance) of phi_{target} given finitely
     many observed samples.
@@ -59,16 +56,10 @@ def discrete_posterior(
     subtracts it from the observations and adds it back to the mean.
 
     There is one observation per time, and the target lies after the
-    last one.  ``observed_times=None``, with no observations, is the
-    unconditional law.
+    last one.  The law with no observations is the unconditional one,
+    mean 0 and variance ``fbm.variance``.
     """
     h = _as_hurst(h)
-    if observed_times is None:
-        if observations is not None and np.size(observations):
-            raise DomainError("observations given without observed_times")
-        if target_t <= 0:
-            raise DomainError(f"target time must be positive, got {target_t}")
-        return 0.0, fbm.variance(h, target_t)
     y = np.asarray(observations, dtype=float)
     if y.shape != (len(observed_times),):
         raise DomainError(

@@ -29,6 +29,12 @@ hypergeometric routine could use:
   Its density at x is the Jacobi theta_3(pi x | q); it is the package's
   one wrapped-Gaussian entry.
 
+Every series follows one fixed truncation rule: it stops only once its
+current term is below 1e-14 and its estimated tail below 1e-12 of the
+partial sum, and raises ``ConvergenceError`` at a million terms rather
+than truncate silently.  The wrapped Gaussian's term counts are worked
+out once from the same rule.
+
 All functions are pure and safe to call from multiple threads.
 ``scipy.special`` is imported inside the two functions that call it, the
 1F2 closed form and the small-variance window mass: it takes about 0.4 s
@@ -48,7 +54,6 @@ import numpy as np
 from .errors import ConvergenceError, DomainError
 
 __all__ = [
-    "Tolerance",
     "Hyp1F2Result",
     "hyp1f2",
     "hyp2f1_curve",
@@ -90,28 +95,19 @@ _BESSEL_ULPS = 32.0
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# the series truncation rule of the module docstring
+_ABS_TOL = 1e-14
+_REL_TOL = 1e-12
+_MAX_TERMS = 1_000_000
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Truncation control for the series evaluations.
-
-    Every series stops only once the current term is below ``abs_tol``
-    *and* the estimated tail is below ``rel_tol`` times the partial sum;
-    ``max_terms`` is a hard cap that raises instead of truncating
-    silently.
-    """
-
-    abs_tol: float = 1e-14
-    rel_tol: float = 1e-12
-    max_terms: int = 1_000_000
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and math.isfinite(self.abs_tol)):
-            raise DomainError(f"abs_tol must be positive, got {self.abs_tol}")
-        if not (self.rel_tol > 0 and math.isfinite(self.rel_tol)):
-            raise DomainError(f"rel_tol must be positive, got {self.rel_tol}")
-        if self.max_terms < 1:
-            raise DomainError(f"max_terms must be >= 1, got {self.max_terms}")
+# term counts of the wrapped Gaussian's two forms, set at the split
+# v = 1/(2 pi^2), where both forms' terms are largest: the first omitted
+# series term is below exp(-(n + 1)^2), and the first omitted image, at
+# least k + 1/2 away, is below exp(-pi^2 (k + 1/2)^2) of the nearest.  With
+# root = sqrt(ln(2 / min(_ABS_TOL, _REL_TOL))) = 5.74, n = floor(root) = 5
+# and k = ceil(root / pi) = 2 put both below half of that minimum
+_THETA_TERMS = 5
+_IMAGE_TERMS = 2
 
 
 @dataclass(frozen=True)
@@ -121,7 +117,7 @@ class Hyp1F2Result:
     The scalar record of the temporary ``hyp1f2`` adapter; the spectral
     kernel behind it returns the same three quantities as arrays.
     ``branch`` is ``"series"`` (the defining series in ``np.longdouble``,
-    80-bit on x86, summed to the ``Tolerance``) or ``"bessel"`` (the
+    80-bit on x86, summed to the truncation rule) or ``"bessel"`` (the
     closed form in Bessel J and Struve H functions).  ``error_estimate``
     is an absolute bound on the numerical error of ``value``.  For the
     series it is the ``np.longdouble`` rounding noise of the largest
@@ -142,7 +138,7 @@ class Hyp1F2Result:
 # ---------------------------------------------------------------------------
 
 
-def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.ndarray:
+def hyp2f1_curve(h: float, z: np.ndarray) -> np.ndarray:
     """2F1(1, 1/2-H; H+3/2; z) for 0 < H < 3/2, elementwise over z in [0, 1].
 
     This is the kernel behind the covariance; a scalar z returns a 0-d
@@ -153,7 +149,6 @@ def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.nd
     """
     if not 0.0 < h < 1.5:
         raise DomainError(f"Hurst exponent {h} outside (0, 3/2)")
-    tol = tol or Tolerance()
     z = np.asarray(z, dtype=float)
     if z.size and not (z.min() >= 0.0 and z.max() <= 1.0):
         raise DomainError("z values must lie in [0, 1]")
@@ -169,15 +164,15 @@ def hyp2f1_curve(h: float, z: np.ndarray, tol: Tolerance | None = None) -> np.nd
             out[lo : lo + _BLOCK] = _h1_elementary(flat[lo : lo + _BLOCK])
         small = flat < 0.1
         if small.any():
-            out[small] = _series_2f1(-0.5, 2.5, flat[small], tol)
+            out[small] = _series_2f1(-0.5, 2.5, flat[small])
         return out.reshape(z.shape)
 
     # the sorted copy is overwritten with the values, then scattered back
     order = np.argsort(flat)
     zs = flat[order]
     k = int(np.searchsorted(zs, _SERIES_SWITCH, side="right"))
-    _series_2f1(0.5 - h, h + 1.5, zs[:k], tol)
-    _transformed_2f1(h, zs[k:], tol)
+    _series_2f1(0.5 - h, h + 1.5, zs[:k])
+    _transformed_2f1(h, zs[k:])
     out = np.empty_like(zs)
     out[order] = zs
     return out.reshape(z.shape)
@@ -193,7 +188,7 @@ def _h1_elementary(z: np.ndarray) -> np.ndarray:
     return np.where(z == 1.0, 0.75, val)
 
 
-def _series_2f1(b, c, z: np.ndarray, tol: Tolerance, weights=1.0) -> np.ndarray:
+def _series_2f1(b, c, z: np.ndarray, weights=1.0) -> np.ndarray:
     """Forward series sum_j weights_j sum_n (b_j)_n/(c_j)_n z^n, written over z.
 
     ``b``, ``c`` and ``weights`` are scalars or equal-length sequences, one
@@ -204,7 +199,7 @@ def _series_2f1(b, c, z: np.ndarray, tol: Tolerance, weights=1.0) -> np.ndarray:
     """
     coefs = _SeriesCoefficients(b, c, weights)
     for lo in range(0, z.size, _BLOCK):
-        z[lo : lo + _BLOCK] = _series_block(coefs, z[lo : lo + _BLOCK], tol)
+        z[lo : lo + _BLOCK] = _series_block(coefs, z[lo : lo + _BLOCK])
     return z
 
 
@@ -241,9 +236,9 @@ class _SeriesCoefficients:
         self.rho += np.abs(ratio).max(axis=0).tolist()
 
 
-def _series_block(coefs: _SeriesCoefficients, z: np.ndarray, tol: Tolerance) -> np.ndarray:
+def _series_block(coefs: _SeriesCoefficients, z: np.ndarray) -> np.ndarray:
     # every element runs the same number of terms; the block stops once all of
-    # them meet the Tolerance rule, applied to the majorant e_n z^n of the
+    # them meet the truncation rule, applied to the majorant e_n z^n of the
     # term (for a single series, exactly the term).  Term and tail bound grow
     # with z, so the largest z is tested first and the whole block only once
     # that passes.
@@ -261,27 +256,27 @@ def _series_block(coefs: _SeriesCoefficients, z: np.ndarray, tol: Tolerance) -> 
         total += scratch
         e, r = coefs.e[n], coefs.rho[n]
         n += 1
-        if n >= tol.max_terms:
-            raise ConvergenceError(f"2F1 series exceeded {tol.max_terms} terms at z={z_top}")
+        if n >= _MAX_TERMS:
+            raise ConvergenceError(f"2F1 series exceeded {_MAX_TERMS} terms at z={z_top}")
         a = e * float(power[top])
         if (
-            a < tol.abs_tol
+            a < _ABS_TOL
             and r * z_top < 1.0
-            and a * r * z_top / (1.0 - r * z_top) < tol.rel_tol * abs(float(total[top]))
-            and _converged(e * power, r * z, total, tol)
+            and a * r * z_top / (1.0 - r * z_top) < _REL_TOL * abs(float(total[top]))
+            and _converged(e * power, r * z, total)
         ):
             return total
 
 
-def _converged(term: np.ndarray, ratio: np.ndarray, total: np.ndarray, tol: Tolerance) -> bool:
-    # the Tolerance rule for every element: last term below abs_tol and
-    # geometric tail bound below rel_tol times the partial sum
+def _converged(term: np.ndarray, ratio: np.ndarray, total: np.ndarray) -> bool:
+    # the truncation rule for every element: last term below _ABS_TOL and
+    # geometric tail bound below _REL_TOL times the partial sum
     with np.errstate(divide="ignore"):
         tail = term * np.where(ratio < 1.0, ratio / (1.0 - ratio), np.inf)
-    return bool(np.all((term < tol.abs_tol) & (tail < tol.rel_tol * np.abs(total))))
+    return bool(np.all((term < _ABS_TOL) & (tail < _REL_TOL * np.abs(total))))
 
 
-def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> None:
+def _transformed_2f1(h: float, z: np.ndarray) -> None:
     # z -> 1-z connection formula over ascending z, written over z; with
     # a = 1 the second 2F1 degenerates to z^-(H+1/2), leaving one fast
     # series in w = 1-z <= 0.2:
@@ -315,7 +310,7 @@ def _transformed_2f1(h: float, z: np.ndarray, tol: Tolerance) -> None:
             w = 1.0 - zi
             log_w, log_z = np.log(w), np.log(zi)
             t2 = sum(p * np.exp(2.0 * hj * log_w - (hj + 0.5) * log_z) for p, hj in nodes)
-            block[:inner] = _series_block(coefs, w, tol) + t2
+            block[:inner] = _series_block(coefs, w) + t2
         block[inner:] = (h + 0.5) / (2.0 * h)
 
 
@@ -338,9 +333,7 @@ def _family_from_params(a: float, b1: float, b2: float) -> tuple[float, str]:
     )
 
 
-def hyp1f2(
-    a: float, b1: float, b2: float, x: float, tol: Tolerance | None = None
-) -> Hyp1F2Result:
+def hyp1f2(a: float, b1: float, b2: float, x: float) -> Hyp1F2Result:
     """1F2 for the two spectral parameter triples at one argument x <= 0.
 
     A temporary scalar adapter onto the spectral kernel behind
@@ -370,11 +363,11 @@ def hyp1f2(
         raise DomainError(f"sqrt(-x) = {s} exceeds {_HYP1F2_S_MAX}")
     # sqrt(-x) rounds; s + ds is the exact root to second order
     ds = float(Fraction(-x) - Fraction(s) ** 2) / (2.0 * s) if s else 0.0
-    value, err, branch = _spectral_1f2(h, s, family, ds, tol)
+    value, err, branch = _spectral_1f2(h, s, family, ds)
     return Hyp1F2Result(float(value), str(branch), float(err))
 
 
-def _spectral_1f2(h: float, s, family: str, ds=0.0, tol: Tolerance | None = None):
+def _spectral_1f2(h: float, s, family: str, ds=0.0):
     """The spectral 1F2 of ``family`` at argument -(s + ds)^2, elementwise.
 
     ``family`` is ``"instantaneous"``, 1F2(H+1/2; H+1, H+3/2; .), or
@@ -384,21 +377,20 @@ def _spectral_1f2(h: float, s, family: str, ds=0.0, tol: Tolerance | None = None
     arrays of s's shape.  Points with s <= 1 take the series, the others
     the closed form, each branch in one array evaluation.
     """
-    tol = tol or Tolerance()
     s, ds = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(ds, dtype=float))
     values, errors = np.empty(s.shape), np.empty(s.shape)
     series = s <= _HYP1F2_SERIES_MAX
     if series.any():
-        values[series], errors[series] = _hyp1f2_series(h, family, s[series], ds[series], tol)
+        values[series], errors[series] = _hyp1f2_series(h, family, s[series], ds[series])
     if not series.all():
         bessel = ~series
         values[bessel], errors[bessel] = _hyp1f2_bessel(h, family, s[bessel], ds[bessel])
     return values, errors, np.where(series, "series", "bessel")
 
 
-def _hyp1f2_series(h: float, family: str, s: np.ndarray, ds: np.ndarray, tol: Tolerance):
+def _hyp1f2_series(h: float, family: str, s: np.ndarray, ds: np.ndarray):
     # the defining series in np.longdouble, every element in step; each
-    # keeps the partial sum at which its own terms meet the Tolerance rule
+    # keeps the partial sum at which its own terms meet the truncation rule
     # once n exceeds s.  For s <= 1 the terms fall from the leading 1 on,
     # so that 1 is the largest term the rounding noise scales with
     d1, d2 = (1.0, 1.5) if family == "instantaneous" else (1.5, 2.0)
@@ -415,10 +407,10 @@ def _hyp1f2_series(h: float, family: str, s: np.ndarray, ds: np.ndarray, tol: To
         total += term
         t = np.abs(term.astype(float))
         n += 1
-        if n >= tol.max_terms:
-            raise ConvergenceError(f"1F2 series exceeded {tol.max_terms} terms")
-        done = active & (n > s) & (t < tol.abs_tol)
-        done &= t < tol.rel_tol * np.maximum(np.abs(total.astype(float)), tol.abs_tol)
+        if n >= _MAX_TERMS:
+            raise ConvergenceError(f"1F2 series exceeded {_MAX_TERMS} terms")
+        done = active & (n > s) & (t < _ABS_TOL)
+        done &= t < _REL_TOL * np.maximum(np.abs(total.astype(float)), _ABS_TOL)
         value[done] = total[done]
         n_terms[done] = n
         active &= ~done
@@ -475,7 +467,7 @@ def _hyp1f2_bessel(h: float, family: str, s: np.ndarray, ds: np.ndarray):
 # ---------------------------------------------------------------------------
 
 
-def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> np.ndarray:
+def wrapped_gaussian(x, v, mass: bool = False) -> np.ndarray:
     """Unit-period wrapped Gaussian with variance v > 0, elementwise.
 
     Returns the density at x, which is theta_3(pi x | exp(-2 pi^2 v)), or
@@ -493,11 +485,11 @@ def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> 
       so that no two numbers near 1 are subtracted.
 
     Both forms' terms are largest at the split, so the term counts are set
-    there: the first omitted term is below min(abs_tol, rel_tol).  A v that
+    there: 5 series terms and the images |k| <= 2 leave the first omitted
+    term below the truncation rule's 1e-14.  A v that
     is not positive and finite, a non-finite x, or with ``mass`` an x
     outside [0, 1/2] raises ``DomainError``.
     """
-    tol = tol or Tolerance()
     x, v = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(v, dtype=float))
     bad = ~((v > 0.0) & np.isfinite(v))
     if bad.any():
@@ -506,31 +498,20 @@ def wrapped_gaussian(x, v, tol: Tolerance | None = None, mass: bool = False) -> 
     if bad.any():
         window = "0 <= x <= 1/2" if mass else "finite x"
         raise DomainError(f"need {window}, got {x[bad].flat[0]}")
-    n_series, n_images = _wrapped_term_counts(tol)
     series = v >= _THETA_SWITCH
     out = np.empty(x.shape)
     if series.any():
-        out[series] = _wrapped_series(x[series], v[series], n_series, mass)
+        out[series] = _wrapped_series(x[series], v[series], _THETA_TERMS, mass)
     if not series.all():
-        out[~series] = _wrapped_images(x[~series], v[~series], n_images, mass)
+        out[~series] = _wrapped_images(x[~series], v[~series], _IMAGE_TERMS, mass)
     return out
-
-
-def _wrapped_term_counts(tol: Tolerance) -> tuple[int, int]:
-    # at the split the first omitted series term is below exp(-(n + 1)^2),
-    # and the first omitted image, at least k + 1/2 away, is below
-    # exp(-pi^2 (k + 1/2)^2) of the nearest; both are below half of eps
-    eps = min(tol.abs_tol, tol.rel_tol)
-    root = math.sqrt(math.log(2.0 / eps))
-    n_series = math.floor(root)
-    if n_series > tol.max_terms:
-        raise ConvergenceError(f"theta series needs {n_series} > {tol.max_terms} terms")
-    return n_series, max(1, math.ceil(root / math.pi))
 
 
 def _wrapped_series(x: np.ndarray, v: np.ndarray, n_terms: int, mass: bool) -> np.ndarray:
     n = np.arange(1, n_terms + 1, dtype=float)
-    qn = np.exp(-2.0 * math.pi**2 * v[:, None] * (n * n))
+    # at a large v the exponent overflows to -inf and q^(n^2) is then 0
+    with np.errstate(over="ignore"):
+        qn = np.exp(-2.0 * math.pi**2 * v[:, None] * (n * n))
     phase = 2.0 * math.pi * (x - np.rint(x))[:, None] * n
     if mass:
         return 2.0 * x + (2.0 / math.pi) * np.sum(qn * np.sin(phase) / n, axis=1)

@@ -10,7 +10,9 @@ or an array of them; an array costs one call of the spectral 1F2 kernel,
 at s = t*omega formed directly, never squared and rooted.  Times and
 angular frequencies must be positive and finite, and their product at
 most 5e14, beyond which the Bessel closed form loses its phase; an error
-names the first offending omega in array order.
+names the first offending omega in array order.  A time whose power
+t^(2H+1), or a spectrum value, overflows the double range raises
+``DomainError`` naming it.
 
 For H > 1/2 the instantaneous spectrum oscillates around the power law
 with an envelope that grows like (t*omega)^(H-1/2), and takes negative
@@ -68,7 +70,14 @@ def _spectrum(h, name: str, t: float, omega, family: str, shift: float) -> Spect
     h = _as_hurst(h).h
     omega = np.asarray(omega, dtype=float)
     f, _, branch = specfun._spectral_1f2(h, _scaled_frequency(name, t, omega), family)
-    value = 2.0 ** (2.0 * h + 1.0) * t ** (2.0 * h + 1.0) * f / math.gamma(2.0 * h + shift)
+    try:
+        power = t ** (2.0 * h + 1.0)
+    except OverflowError:
+        power = math.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        value = 2.0 ** (2.0 * h + 1.0) * power * f / math.gamma(2.0 * h + shift)
+    if not np.isfinite(value).all():
+        raise DomainError(f"{name} = {t} too large: the spectrum overflows at H = {h}")
     if omega.ndim == 0:
         return SpectrumPoint(float(omega), float(value), str(branch))
     return SpectrumPoint(omega, value, branch)

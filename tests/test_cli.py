@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -209,7 +210,7 @@ class TestTraceIO:
         rng = np.random.default_rng(1)
         trace = PhaseTrace(dt=0.5, samples=rng.standard_normal(64))
         path = str(tmp_path / "t.raw")
-        write_trace(trace, path, fmt="raw_f64_le")
+        trace.samples.astype("<f8").tofile(path)
         back = read_trace(path, fmt="raw_f64_le", dt=0.5)
         assert np.array_equal(back.samples, trace.samples)
 
@@ -425,13 +426,6 @@ class TestDispatch:
         assert captured.out == out.read_bytes()
         assert captured.err == b""
 
-    def test_write_trace_raw_to_stdout(self, tmp_path, capsysbinary):
-        trace = PhaseTrace(dt=1.0, samples=np.arange(10.0))
-        out = tmp_path / "trace.f64"
-        write_trace(trace, str(out), fmt="raw_f64_le")
-        write_trace(trace, None, fmt="raw_f64_le")
-        assert capsysbinary.readouterr().out == out.read_bytes()
-
     def test_os_error_without_file_name(self, capsys, monkeypatch):
         def fail(*args, **kwargs):
             raise OSError("device vanished")
@@ -496,11 +490,10 @@ class TestDispatch:
         assert captured.err == "oscnoise: error: /dev/full: No space left on device\n"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("fmt", ["csv", "raw_f64_le"])
-    def test_write_trace_full_device_names_path(self, fmt):
+    def test_write_trace_full_device_names_path(self):
         trace = PhaseTrace(dt=1.0, samples=np.arange(10.0))
         with pytest.raises(OSError) as info:
-            write_trace(trace, "/dev/full", fmt=fmt)
+            write_trace(trace, "/dev/full")
         assert info.value.filename == "/dev/full"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
@@ -783,17 +776,22 @@ class TestDispatch:
 
         return json.loads(text, parse_constant=reject)
 
-    @pytest.mark.parametrize("scale", [1e150, 1e100, 1e-100, 1e-150, 1e-160])
-    def test_calibrate_extreme_scale(self, tmp_path, capsys, scale):
-        # the same random walk, scaled: the fit scales with it, and an
-        # overflowed covariance entry prints as null
+    @pytest.mark.parametrize(
+        "scale, dt",
+        [pytest.param(scale, 1.0, id=repr(scale))
+         for scale in (1e150, 1e100, 1e-100, 1e-150, 1e-160)]
+        + [pytest.param(1.0, dt, id=f"dt={dt!r}") for dt in (1e-200, 1e-160, 1e160)],
+    )
+    def test_calibrate_extreme_scale(self, tmp_path, capsys, scale, dt):
+        # the same random walk, scaled and read at another dt: the fit
+        # scales with them, and an overflowed covariance entry prints as null
         x = np.cumsum(np.random.default_rng(0).standard_normal(2000))
-        argv = ["calibrate", "--format", "raw_f64_le", "--dt", "1", "--lags", "1:100"]
+        argv = ["calibrate", "--format", "raw_f64_le", "--lags", "1:100"]
         fits = []
-        for values in (x, x * scale):
+        for values, step in ((x, 1.0), (x * scale, dt)):
             path = str(tmp_path / "t.raw")
             values.astype("<f8").tofile(path)
-            assert dispatch(argv + ["--in", path]) == 0
+            assert dispatch(argv + ["--in", path, "--dt", repr(step)]) == 0
             captured = capsys.readouterr()
             assert captured.err == ""
             fits.append(self._strict_json(captured.out))
@@ -801,15 +799,70 @@ class TestDispatch:
         # at 1e-160 the variances, near 1e-318, are subnormal and carry only
         # a few digits; the fit of them is then only as good as they are
         rel = 1e-3 if scale < 1e-155 else 1e-12
-        for key in ("c_white", "c_flicker"):
-            assert scaled[key] == pytest.approx(plain[key] * scale, rel=rel), key
-        # the weights c^2 scale by scale^2, their covariance by scale^4
+        factor_of = {"c_white": scale / math.sqrt(dt), "c_flicker": scale / dt}
+        for key, factor in factor_of.items():
+            assert scaled[key] == pytest.approx(plain[key] * factor, rel=rel), key
+        # the weights c^2 scale by factor^2, their covariance by the products
         with np.errstate(over="ignore"):
-            want = np.array(plain["covariance_of_fit"]) * scale**2 * scale**2
+            factors = np.array([scale**2 / dt, scale**2 / dt / dt])
+            want = np.array(plain["covariance_of_fit"]) * factors[:, None] * factors
         got = np.array(scaled["covariance_of_fit"], dtype=float)  # null -> nan
         finite = np.isfinite(want)
         np.testing.assert_array_equal(np.isnan(got), ~finite)
         np.testing.assert_allclose(got[finite], want[finite], rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            ("spectrum --hurst 1.4 --time 1e100 --omega-min 1e-110 --omega-max 1e-100 "
+             "--n-omega 3", 1),
+            ("spectrum --hurst 1.4 --avg-time 1e200 --omega-min 1e-210 --omega-max 1e-200 "
+             "--n-omega 3", 1),
+            ("simulate --hurst 1.4 --t0 1e200 --t1 1e201 --n 3 --seed 1", 1),
+            ("simulate --c-white 1e200 --t0 1 --t1 2 --n 3 --seed 1", 1),
+            ("covariance --hurst 1.4 --s 1e200 --t 1e200", 1),
+            ("bandwidth --c-white 1e150 --target 0.5", 0),
+            ("avar --lags 1:100 --dt 1 --in tiny-walk", 1),
+            ("calibrate --lags 1:100 --dt 1 --in tiny-walk", 1),
+            ("calibrate --lags 1:100 --dt 1 --in huge-walk", 1),
+            ("avar --lags 1:100 --dt 1e307 --in walk", 1),
+            ("avar --lags 1,2 --dt 1 --in alternating", 1),
+        ],
+        ids=[
+            "spectrum-time", "spectrum-avg-time", "simulate-grid-time",
+            "simulate-grid-coefficient", "covariance", "bandwidth", "avar-tiny-walk",
+            "calibrate-tiny-walk", "calibrate-huge-walk", "avar-huge-dt",
+            "avar-huge-increments",
+        ],
+    )
+    def test_extreme_values_one_error_line_or_clean_output(self, tmp_path, capsys, argv, code):
+        # values at the edge of the double range: either one error line and
+        # nothing else, or strict output and a silent stderr; never a
+        # traceback, a RuntimeWarning or non-JSON.  --in names a raw trace
+        walk = np.cumsum(np.random.default_rng(0).standard_normal(2000))
+        traces = {
+            "walk": walk,
+            "tiny-walk": walk * 1e-170,
+            "huge-walk": walk * 1e160,
+            "alternating": np.array([1e308, -1e308] * 4),
+        }
+        argv = argv.split()
+        if "--in" in argv:
+            i = argv.index("--in") + 1
+            path = str(tmp_path / "trace.raw")
+            traces[argv[i]].astype("<f8").tofile(path)
+            argv[i : i + 1] = [path, "--format", "raw_f64_le"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert dispatch(argv) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("oscnoise: error: ")
+            assert captured.err.count("\n") == 1, captured.err
+        else:
+            assert captured.err == ""
+            self._strict_json(captured.out)
 
     @pytest.mark.parametrize("f0", ["1e-200", "1e200", "1e-160"])
     def test_avar_f0_out_of_range_exit_one(self, tmp_path, capsys, f0):

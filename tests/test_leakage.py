@@ -40,11 +40,6 @@ class TestDiscretePosterior:
         assert mean == pytest.approx(0.4, rel=1e-12)
         assert var == pytest.approx(1.0, rel=1e-10)
 
-    def test_no_observations_unconditional(self):
-        mean, var = leakage.discrete_posterior(0.8, None, 2.0, [])
-        assert mean == 0.0
-        assert var == pytest.approx(fbm.variance(0.8, 2.0), rel=1e-14)
-
     def test_dense_history_converges_to_closed_form(self):
         h, target = 1.0, 1.1
         theory = leakage.conditional_variance(NoiseMixture.single(h), 0.1)
@@ -100,11 +95,3 @@ class TestDiscretePosterior:
         grid = TimeGrid(np.array([1.0, 2.0]))
         with pytest.raises(DomainError):
             leakage.discrete_posterior(0.5, grid, 3.0, [0.0])
-
-    def test_observations_without_grid(self):
-        with pytest.raises(DomainError, match="without observed_times"):
-            leakage.discrete_posterior(0.5, None, 3.0, [0.0])
-
-    def test_unconditional_target_must_be_positive(self):
-        with pytest.raises(DomainError, match="positive"):
-            leakage.discrete_posterior(0.5, None, 0.0, None)

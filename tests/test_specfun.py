@@ -11,19 +11,6 @@ from oscnoise.errors import ConvergenceError, DomainError
 import _oracles
 
 
-class TestTolerance:
-    def test_defaults_valid(self):
-        tol = specfun.Tolerance()
-        assert tol.abs_tol > 0 and tol.rel_tol > 0 and tol.max_terms >= 1
-
-    @pytest.mark.parametrize(
-        "kwargs", [{"abs_tol": 0.0}, {"rel_tol": -1e-9}, {"max_terms": 0}]
-    )
-    def test_invalid_rejected(self, kwargs):
-        with pytest.raises(DomainError):
-            specfun.Tolerance(**kwargs)
-
-
 class TestHyp2F1:
     def test_h_half_is_one(self):
         for z in [0.0, 0.3, 0.8, 0.97, 1.0]:
@@ -105,10 +92,10 @@ class TestHyp2F1:
             with pytest.raises(DomainError):
                 specfun.hyp2f1_curve(h, [0.3, 0.9])
 
-    def test_max_terms_cap(self):
-        tol = specfun.Tolerance(abs_tol=1e-30, rel_tol=1e-30, max_terms=5)
-        with pytest.raises(ConvergenceError):
-            specfun.hyp2f1_curve(0.3, 0.5, tol=tol)
+    def test_max_terms_cap(self, monkeypatch):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 5)
+        with pytest.raises(ConvergenceError, match="exceeded 5 terms"):
+            specfun.hyp2f1_curve(0.3, 0.5)
 
 
 # the H grid of the 1F2 error-estimate sweep, across (0, 3/2)
@@ -270,11 +257,17 @@ class TestTheta3:
             for z in np.linspace(0.0, math.pi, 9):
                 ser = specfun._wrapped_images(
                     np.array([z / math.pi]), np.array([-math.log(q) / (2.0 * math.pi**2)]),
-                    specfun._wrapped_term_counts(specfun.Tolerance())[1], False,
+                    specfun._IMAGE_TERMS, False,
                 )[0]
                 direct = _theta3(z, min(q, math.exp(-1.0)))
                 if q <= math.exp(-1.0):
                     assert abs(ser - direct) < 1e-10
+
+    def test_term_counts_follow_truncation_rule(self):
+        # the fixed counts are those the truncation rule gives at the split
+        root = math.sqrt(math.log(2.0 / min(specfun._ABS_TOL, specfun._REL_TOL)))
+        assert specfun._THETA_TERMS == math.floor(root)
+        assert specfun._IMAGE_TERMS == math.ceil(root / math.pi)
 
     def test_wrapped_gaussian_branches_agree_at_switch(self):
         # image sum below v0, theta series from v0 on; a few ulp either side
