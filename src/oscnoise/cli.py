@@ -243,7 +243,12 @@ def _parse_lags(spec: str) -> list[int]:
 
 
 def _json(payload: dict) -> str:
-    return json.dumps(payload, indent=2, sort_keys=True)
+    # strict JSON: a NaN or infinite number is an error, not a bare token
+    # that JSON parsers reject
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise DomainError(f"result is not a finite number: {exc}") from None
 
 
 def _emit(text: str, out: str | None) -> None:

@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import specfun
 from .errors import DecompositionError, DomainError
@@ -301,7 +302,8 @@ def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     once the sum is complete and the ratios are freed, and is written in
     row blocks of bounded size, both triangles.  The peak is four packed
     triangles for one component and five for a mixture whose second 2F1
-    sorts.
+    sorts.  ``simulate`` factors K in place, so beside K it holds only
+    LAPACK's working copy of it.
     """
     ts = grid.points
     n = ts.size
@@ -332,19 +334,37 @@ def covariance_matrix(model, grid: TimeGrid) -> np.ndarray:
     return K
 
 
-def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:
-    """Lower Cholesky factor, escalating diagonal jitter from 1e-12 to 1e-6
-    of the mean diagonal before failing.
+def _not_positive_definite(err, flag):
+    # the floating-point error callback of numpy's own Cholesky wrapper:
+    # a failed factor sets the invalid flag and fills its output with NaN
+    raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+
+def cholesky_with_jitter(build) -> np.ndarray:
+    """Lower Cholesky factor of the symmetric matrix ``build()`` returns,
+    escalating diagonal jitter from 1e-12 to 1e-6 of the mean diagonal
+    before failing.
 
     Nearby grid points make phase covariance matrices nearly singular;
     a loud failure beats silently biasing the law with large jitter.
+
+    The factor is written over the matrix built, with the upper triangle
+    zeroed: it is the gufunc behind ``np.linalg.cholesky``, the same
+    LAPACK call and the same bits, given ``out`` (a private numpy name,
+    pinned by a bit-identity test against ``np.linalg.cholesky``).  Memory
+    is K and LAPACK's working copy of it.  A failed attempt leaves NaN in
+    K, so ``build``, a function of no arguments that returns a fresh
+    float64 matrix, is called once for the first attempt and once more for
+    each jitter rung, whose diagonal is then diag + eps * mean(diag).
     """
+    K = build()
     scale = float(np.mean(np.diag(K)))
     eps = 0.0
-    jittered = K
     while True:
         try:
-            return np.linalg.cholesky(jittered)
+            with np.errstate(call=_not_positive_definite, invalid="call",
+                             over="ignore", divide="ignore", under="ignore"):
+                return _umath_linalg.cholesky_lo(K, out=K, signature="d->d")
         except np.linalg.LinAlgError:
             eps = 1e-12 if eps == 0.0 else eps * 10.0
             if eps > 1e-6:
@@ -352,10 +372,8 @@ def cholesky_with_jitter(K: np.ndarray) -> np.ndarray:
                     "covariance matrix not positive definite even with "
                     f"jitter 1e-6 * mean(diag) = {1e-6 * scale:.3e}"
                 ) from None
-            # one copy of K for all retries, its diagonal reset each time
-            if jittered is K:
-                jittered = K.copy()
-            np.fill_diagonal(jittered, np.diag(K) + eps * scale)
+            K = build()
+            np.fill_diagonal(K, np.diag(K) + eps * scale)
 
 
 def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
@@ -364,15 +382,16 @@ def simulate(model, grid: TimeGrid, n_paths: int, seed: int) -> np.ndarray:
     ``model`` is a HurstExponent (or float) or a NoiseMixture; mixtures
     compose per-component covariance matrices additively before a single
     factorisation.  Output is deterministic for a fixed seed (PCG64).
-    Working memory is K and its factor L plus, while K is built, about
-    three packed triangles of n(n+1)/2 doubles (see ``covariance_matrix``);
-    numpy's factorisation adds a working copy of K.  At 2048 points that
-    is about 100 MB, set by the factorisation.
+    Working memory is K, factored in place (see ``cholesky_with_jitter``),
+    plus LAPACK's working copy of K while it factors and, while K is
+    built, about three packed triangles of n(n+1)/2 doubles (see
+    ``covariance_matrix``).  At 2048 points that is about 67 MB, set by
+    the factorisation; the normals and the paths add n * n_paths doubles
+    each.
     """
     if n_paths < 1:
         raise DomainError(f"n_paths must be >= 1, got {n_paths}")
-    K = covariance_matrix(model, grid)
-    L = cholesky_with_jitter(K)
+    L = cholesky_with_jitter(lambda: covariance_matrix(model, grid))
     rng = _rng(seed)
     return L @ rng.standard_normal((len(grid), n_paths))
 

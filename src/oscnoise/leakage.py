@@ -70,7 +70,7 @@ def discrete_posterior(
         raise DomainError(f"target {target_t} must lie after the last observation {ts[-1]}")
     import scipy.linalg
 
-    cf = (fbm.cholesky_with_jitter(fbm.covariance_matrix(h, observed_times)), True)
+    cf = (fbm.cholesky_with_jitter(lambda: fbm.covariance_matrix(h, observed_times)), True)
     k = fbm.cross_covariance(h, ts, target_t)
     alpha = scipy.linalg.cho_solve(cf, k)
     return float(y @ alpha), fbm.variance(h, target_t) - float(k @ alpha)

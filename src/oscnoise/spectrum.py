@@ -10,9 +10,10 @@ or an array of them; an array costs one call of the spectral 1F2 kernel,
 at s = t*omega formed directly, never squared and rooted.  Times and
 angular frequencies must be positive and finite, and their product at
 most 5e14, beyond which the Bessel closed form loses its phase; an error
-names the first offending omega in array order.  A time whose power
-t^(2H+1), or a spectrum value, overflows the double range raises
-``DomainError`` naming it.
+names the first offending omega in array order.  A spectrum value that
+overflows the double range raises ``DomainError`` naming the time; a
+time whose power t^(2H+1) alone overflows is fine where the value is a
+double.
 
 For H > 1/2 the instantaneous spectrum oscillates around the power law
 with an envelope that grows like (t*omega)^(H-1/2), and takes negative
@@ -70,12 +71,18 @@ def _spectrum(h, name: str, t: float, omega, family: str, shift: float) -> Spect
     h = _as_hurst(h).h
     omega = np.asarray(omega, dtype=float)
     f, _, branch = specfun._spectral_1f2(h, _scaled_frequency(name, t, omega), family)
-    try:
-        power = t ** (2.0 * h + 1.0)
-    except OverflowError:
-        power = math.inf
+    gamma = math.gamma(2.0 * h + shift)
     with np.errstate(over="ignore", invalid="ignore"):
-        value = 2.0 ** (2.0 * h + 1.0) * power * f / math.gamma(2.0 * h + shift)
+        try:
+            value = 2.0 ** (2.0 * h + 1.0) * t ** (2.0 * h + 1.0) * f / gamma
+        except OverflowError:
+            value = math.inf
+        if not np.isfinite(value).all():
+            # t^(2H+1), or its product with 2^(2H+1), overflows where the
+            # spectrum, that times a small 1F2, may not: the power goes in
+            # last, as two halves
+            half = np.float64(t) ** (h + 0.5)
+            value = 2.0 ** (2.0 * h + 1.0) * f / gamma * half * half
     if not np.isfinite(value).all():
         raise DomainError(f"{name} = {t} too large: the spectrum overflows at H = {h}")
     if omega.ndim == 0:

@@ -141,25 +141,45 @@ class TestPackageLayout:
         with pytest.raises(AttributeError):
             oscnoise.no_such_name
 
-    def test_trace_simulate_memory_per_sample(self, tmp_path):
-        # ru_maxrss of a 4e6-sample trace simulate above that of a process
-        # that only imports oscnoise: 82 B/sample measured for white+flicker
-        # on Linux x86-64 with numpy 2.4 (numpy's FFT scratch included), so
-        # 100 B/sample leaves about 20% headroom
-        peak = "import resource; print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    @staticmethod
+    def _peak_bytes_over_import(tmp_path, argv):
+        # peak resident memory of a fresh process that runs the CLI with
+        # argv, output to devnull, above that of a process that only
+        # imports oscnoise.  VmHWM, not ru_maxrss: Linux carries a process's
+        # ru_maxrss across fork and exec, so a child of this test process
+        # would report at least the test process's own peak
+        peak = (
+            "print(next(int(line.split()[1]) for line in open('/proc/self/status')"
+            " if line.startswith('VmHWM:')))"
+        )
         base = _run_python(["-c", f"import oscnoise; {peak}"], tmp_path)
-        argv = "simulate --c-white 1 --c-flicker 0.5 --samples 4000000 --dt 1 --seed 1".split()
         script = (
             "import os, sys\n"
             "from oscnoise.cli import dispatch\n"
             "assert dispatch(sys.argv[1:] + ['--out', os.devnull]) == 0\n"
             f"{peak}\n"
         )
-        run = _run_python(["-c", script, *argv], tmp_path)
+        run = _run_python(["-c", script, *argv.split()], tmp_path)
         assert base.returncode == 0 and run.returncode == 0, base.stderr + run.stderr
-        # ru_maxrss is in kilobytes on Linux
-        per_sample = (int(run.stdout) - int(base.stdout)) * 1024 / 4e6
+        # VmHWM is in kilobytes
+        return (int(run.stdout) - int(base.stdout)) * 1024
+
+    def test_trace_simulate_memory_per_sample(self, tmp_path):
+        # 82 B/sample measured for white+flicker on Linux x86-64 with
+        # numpy 2.4 (numpy's FFT scratch included), so 100 B/sample leaves
+        # about 20% headroom
+        argv = "simulate --c-white 1 --c-flicker 0.5 --samples 4000000 --dt 1 --seed 1"
+        per_sample = self._peak_bytes_over_import(tmp_path, argv) / 4e6
         assert per_sample < 100.0, per_sample
+
+    def test_grid_simulate_memory(self, tmp_path):
+        # K factored in place plus LAPACK's working copy of it: 2.28 n^2
+        # doubles measured for white+flicker at N = 2048 on Linux x86-64
+        # with numpy 2.4; a factor held beside K would add a third n^2
+        n = 2048
+        argv = f"simulate --c-white 1 --c-flicker 0.5 --t0 1 --t1 10 --n {n} --paths 16 --seed 1"
+        matrices = self._peak_bytes_over_import(tmp_path, argv) / (8 * n * n)
+        assert matrices < 2.5, matrices
 
     def test_spectrum_one_bessel_and_struve_call(self, monkeypatch, capsys):
         # a grid across both branches costs one jv and one struve call
@@ -578,6 +598,17 @@ class TestDispatch:
         assert captured.err == f"oscnoise: error: {message}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_result_one_error_line(self, capsys, monkeypatch, bad):
+        # JSON output is strict: a number it cannot hold is an error, never
+        # a bare NaN or Infinity token
+        monkeypatch.setattr(fbm, "covariance", lambda *args: bad)
+        assert dispatch("covariance --hurst 1 --s 1 --t 2".split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("oscnoise: error: result is not a finite number")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -818,6 +849,12 @@ class TestDispatch:
              "--n-omega 3", 1),
             ("spectrum --hurst 1.4 --avg-time 1e200 --omega-min 1e-210 --omega-max 1e-200 "
              "--n-omega 3", 1),
+            ("spectrum --hurst 1.4 --avg-time 1e85 --omega-min 1e-71 --omega-max 1e-71 "
+             "--n-omega 1", 0),
+            ("spectrum --hurst 1.4 --avg-time 8.9e80 --omega-min 1.1236e-67 "
+             "--omega-max 1.1236e-67 --n-omega 1", 0),
+            ("spectrum --hurst 1.4 --avg-time 1e100 --omega-min 1e-86 --omega-max 1e-86 "
+             "--n-omega 1", 1),
             ("simulate --hurst 1.4 --t0 1e200 --t1 1e201 --n 3 --seed 1", 1),
             ("simulate --c-white 1e200 --t0 1 --t1 2 --n 3 --seed 1", 1),
             ("covariance --hurst 1.4 --s 1e200 --t 1e200", 1),
@@ -829,7 +866,9 @@ class TestDispatch:
             ("avar --lags 1,2 --dt 1 --in alternating", 1),
         ],
         ids=[
-            "spectrum-time", "spectrum-avg-time", "simulate-grid-time",
+            "spectrum-time", "spectrum-avg-time", "spectrum-avg-time-power-overflows",
+            "spectrum-avg-time-scaled-power-overflows", "spectrum-avg-time-value-overflows",
+            "simulate-grid-time",
             "simulate-grid-coefficient", "covariance", "bandwidth", "avar-tiny-walk",
             "calibrate-tiny-walk", "calibrate-huge-walk", "avar-huge-dt",
             "avar-huge-increments",
@@ -860,6 +899,10 @@ class TestDispatch:
             assert captured.out == ""
             assert captured.err.startswith("oscnoise: error: ")
             assert captured.err.count("\n") == 1, captured.err
+        elif argv[0] == "spectrum":
+            assert captured.err == ""
+            values = [float(row.split(",")[1]) for row in captured.out.splitlines()[1:]]
+            assert values and all(map(math.isfinite, values))
         else:
             assert captured.err == ""
             self._strict_json(captured.out)

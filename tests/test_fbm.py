@@ -325,6 +325,16 @@ class TestCrossCovariance:
             fbm.cross_covariance(0.5, np.array([1.0, bad]), 2.0)
 
 
+def _shifted_matrix(shift):
+    # a positive definite matrix whose least eigenvalue is moved to
+    # -shift * mean(diag)
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
+    K = (q * np.linspace(1e-3, 1.0, 30)) @ q.T
+    K -= (1e-3 + shift * np.mean(np.diag(K))) * np.outer(q[:, 0], q[:, 0])
+    return (K + K.T) / 2.0
+
+
 class TestSimulate:
     def test_deterministic_for_seed(self):
         grid = TimeGrid(np.linspace(1.0, 2.0, 16))
@@ -381,22 +391,41 @@ class TestSimulate:
         "shift, eps", [(-1e-3, 0.0), (3e-12, 1e-11), (3e-9, 1e-8), (3e-7, 1e-6)]
     )
     def test_jitter_matches_identity_jitter(self, shift, eps):
-        # a positive definite matrix whose least eigenvalue is moved to
-        # -shift * mean(diag); the factor must be that of K + eps scale I
-        rng = np.random.default_rng(4)
-        q, _ = np.linalg.qr(rng.standard_normal((30, 30)))
-        K = (q * np.linspace(1e-3, 1.0, 30)) @ q.T
-        K -= (1e-3 + shift * np.mean(np.diag(K))) * np.outer(q[:, 0], q[:, 0])
-        K = (K + K.T) / 2.0
+        # the factor must be that of K + eps scale I
+        K = _shifted_matrix(shift)
         L, used = _oracles.cholesky_eye_jitter(K)
         assert used == pytest.approx(eps, rel=1e-12)
-        assert np.array_equal(fbm.cholesky_with_jitter(K), L)
+        assert np.array_equal(fbm.cholesky_with_jitter(lambda: K.copy()), L)
 
     def test_decomposition_failure_loud(self):
-        # an indefinite matrix is beyond what the bounded jitter may repair
+        # an indefinite matrix is beyond what the bounded jitter may repair;
+        # it is built for the first attempt and seven rungs, 1e-12 to 1e-6
         bad = np.array([[1.0, 2.0], [2.0, 1.0]])
+        built = []
         with pytest.raises(DecompositionError):
-            fbm.cholesky_with_jitter(bad)
+            fbm.cholesky_with_jitter(lambda: built.append(bad.copy()) or built[-1])
+        assert len(built) == 8
+
+    @pytest.mark.parametrize(
+        "model", [0.3, 0.75, 1.0, 1.25, 0.99999, NoiseMixture.white_flicker(1.0, 0.5)]
+    )
+    def test_in_place_factor_bitwise_numpy(self, model):
+        # the factor is numpy's private Cholesky gufunc writing over K; it
+        # must give np.linalg.cholesky's bits, upper triangle zeroed included
+        grid = TimeGrid(np.linspace(1.0, 10.0, 256))
+        want = np.linalg.cholesky(fbm.covariance_matrix(model, grid))
+        got = fbm.cholesky_with_jitter(lambda: fbm.covariance_matrix(model, grid))
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("shift, builds", [(-1e-3, 1), (3e-12, 3), (3e-7, 8)])
+    def test_builder_called_once_per_attempt(self, shift, builds):
+        # once for the first attempt and once per jitter rung tried; the
+        # last factor is written over the last matrix built
+        K = _shifted_matrix(shift)
+        built = []
+        L = fbm.cholesky_with_jitter(lambda: built.append(K.copy()) or built[-1])
+        assert len(built) == builds
+        assert L is built[-1]
 
     def test_monte_carlo_defining_integral(self):
         # covariance against MC of the discretised defining integral

@@ -165,6 +165,13 @@ class TestTimeAveraged:
         assert str(info.value) == f"T*omega = {product} exceeds 500000000000000.0"
         assert spectrum.time_averaged(0.75, 2.0, 2.5e14).branch == "bessel"
 
+    def test_value_where_t_power_overflows(self):
+        # 1e85^3.8 overflows a double but the spectrum does not; at the
+        # same T*omega the value scales as T^(2H+1), here by 1e19
+        big = spectrum.time_averaged(1.4, 1e85, 1e-71).value
+        ref = spectrum.time_averaged(1.4, 1e80, 1e-66).value
+        assert big == pytest.approx(1e19 * ref, rel=1e-13)
+
     def test_power_law_slope(self):
         for h in [0.5, 0.75, 1.0]:
             ws = np.logspace(2, 4, 41)
